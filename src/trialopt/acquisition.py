@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .domain import Constraint, DesignSpace, ObjectiveSpec
 from .gp import GpModel, gp_predict_many
@@ -16,8 +16,9 @@ from .pareto import ApproximationSet, HviCalculator
 
 
 def feasibility_quantile(m: float, s2: float, p: float) -> float:
-    """Upper 100*p% quantile of N(m, s2): m + Phi^-1(p) * s."""
-    return m + norm.ppf(p) * np.sqrt(s2)
+    """Upper 100*p% quantile of N(m, s2): m + Phi^-1(p) * s. Accepts scalars
+    or arrays."""
+    return m + ndtri(p) * np.sqrt(s2)
 
 
 def quantile_update(m, s2, omega2_plan, p):
@@ -34,7 +35,7 @@ def quantile_update(m, s2, omega2_plan, p):
     denom = omega2 + s2
     safe = np.where(denom > 0, denom, 1.0)
     s2_plus = np.where(denom > 0, s2 * s2 / safe, 0.0)
-    m_plus = m + norm.ppf(p) * np.sqrt(np.where(denom > 0, omega2 * s2 / safe, 0.0))
+    m_plus = m + ndtri(p) * np.sqrt(np.where(denom > 0, omega2 * s2 / safe, 0.0))
     if m_plus.ndim == 0:
         return float(m_plus), float(s2_plus)
     return m_plus, s2_plus
@@ -46,7 +47,7 @@ def prob_feasible_after(m_plus, s2_plus):
     s2_plus = np.asarray(s2_plus, dtype=float)
     s = np.sqrt(s2_plus)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s > 0, norm.cdf(-m_plus / np.where(s > 0, s, 1.0)),
+        out = np.where(s > 0, ndtr(-m_plus / np.where(s > 0, s, 1.0)),
                        (m_plus <= 0).astype(float))
     return float(out) if out.ndim == 0 else out
 
@@ -79,13 +80,11 @@ def expected_improvement_batch(
         omega2 = rate * (1.0 - rate) / planned_n
         m_plus, s2_plus = quantile_update(mean, var, omega2, con.confidence)
         prob *= prob_feasible_after(m_plus, s2_plus)
-    hvi = HviCalculator(current)
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        if prob[i] <= 0.0:
-            out[i] = 0.0
-            continue
-        out[i] = hvi(objectives(X[i])) * prob[i]
+    out = np.zeros(X.shape[0])
+    live = np.flatnonzero(~(prob <= 0.0))
+    if live.size:
+        rows = np.array([objectives(X[i]) for i in live], dtype=float)
+        out[live] = HviCalculator(current)(rows) * prob[live]
     return out
 
 

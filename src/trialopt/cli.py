@@ -22,10 +22,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from . import engine
-from .acquisition import PsoConfig
+from .acquisition import PsoConfig, feasibility_quantile
 from .domain import (
     Constraint,
     DesignSpace,
@@ -34,7 +33,6 @@ from .domain import (
     Hypothesis,
     ObjectiveSpec,
     Problem,
-    clamped_rate,
 )
 from .engine import BudgetConfig, CheckpointError, RunAborted, RunState
 from .gp import gp_predict_many
@@ -369,7 +367,7 @@ def write_pareto_csv(path: Path, problem: Problem, state: RunState) -> None:
             unit = space.normalize(point.array).reshape(1, -1)
             for con in problem.constraints:
                 mean, var = gp_predict_many(state.models[con.label], unit)
-                q = float(mean[0]) + norm.ppf(con.confidence) * float(np.sqrt(var[0]))
+                q = feasibility_quantile(float(mean[0]), float(var[0]), con.confidence)
                 est, n = _pooled_estimates(state, point.coords, con.hypothesis)
                 row += [q, est, n]
             writer.writerow(row)

@@ -14,7 +14,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .acquisition import PsoConfig, expected_improvement_batch, pso_maximize
+from .acquisition import (
+    PsoConfig,
+    expected_improvement_batch,
+    feasibility_quantile,
+    pso_maximize,
+)
 from .domain import (
     EVENT_ACCEPT,
     Constraint,
@@ -228,8 +233,7 @@ def recompute_feasible_set(state: RunState) -> ApproximationSet:
     feasible = np.ones(len(points), dtype=bool)
     for con in problem.constraints:
         mean, var = gp_predict_many(state.models[con.label], unit)
-        quantile = mean + norm.ppf(con.confidence) * np.sqrt(var)
-        feasible &= quantile <= 0.0
+        feasible &= feasibility_quantile(mean, var, con.confidence) <= 0.0
     members = [
         (p, tuple(problem.objectives(p.array)))
         for p, ok in zip(points, feasible) if ok

@@ -5,6 +5,21 @@ The kernel is the squared exponential written as
 a variance and the exponent carries no 1/2 factor. Inputs are expected in the
 unit cube, so the hyperparameter search bounds are dimension-free. The prior
 mean is zero.
+
+Speed-ups in this module keep every floating-point result bit-identical to
+the plain formulation, because the optimiser compares likelihoods and the run
+outputs depend on those comparisons:
+
+- Squared distances are built dimension-first, as ``(D, n, m)`` differences
+  summed over axis 0. numpy adds the D terms of each entry in order, as the
+  reduction over a trailing ``(n, m, D)`` axis does.
+- Factorizations call LAPACK ``potrf`` (lower, ``clean=True``) and the
+  likelihood solve calls ``trtrs`` (lower, no transpose) directly, with the
+  arguments ``scipy.linalg.cholesky(lower=True)`` and
+  ``solve_triangular(lower=True)`` pass on to them. Their input checks are
+  kept: a non-finite matrix or target vector raises ``ValueError``.
+- Jitter ``j`` is added as ``j * sigma`` to the diagonal only; the
+  off-diagonal entries of ``j * sigma * I`` are zeros, which change nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
 
 from .sobol import _sobol_raw
 
@@ -27,6 +42,8 @@ _N_STARTS = 8
 _N_DESCENTS = 3  # only the most promising starts get a full local search
 _MAX_SWEEPS = 8
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+
+_potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty(0),))
 
 
 class GpConditioningError(RuntimeError):
@@ -84,27 +101,63 @@ def kernel(x: Sequence[float], y: Sequence[float], params: KernelParams) -> floa
     return float(params.sigma * np.exp(-np.sum(((x - y) / ls) ** 2)))
 
 
+def _differences(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Coordinate differences X_i - Y_j, dimension-first: shape (D, n, m)."""
+    return np.subtract(X.T[:, :, None], Y.T[:, None, :], order="C")
+
+
+def _kernel_from_differences(diff: np.ndarray, sigma: float, ls: np.ndarray) -> np.ndarray:
+    """sigma * exp(-sum_j (diff_j / ls_j)^2), computed in place."""
+    scaled = diff / ls[:, None, None]
+    s = np.square(scaled, out=scaled).sum(axis=0)
+    np.exp(np.negative(s, out=s), out=s)
+    s *= sigma
+    return s
+
+
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix between two point sets of shape (n, D), (m, D)."""
     ls = np.asarray(params.lengthscales, dtype=float)
-    d2 = ((X[:, None, :] - Y[None, :, :]) / ls) ** 2
-    return params.sigma * np.exp(-d2.sum(axis=-1))
+    return _kernel_from_differences(_differences(X, Y), params.sigma, ls)
 
 
-def _factorize(K: np.ndarray, noise_diag: np.ndarray, sigma: float):
-    """Cholesky of K + Delta with escalating jitter; returns (L, jitter)."""
-    n = K.shape[0]
-    base = K + np.diag(noise_diag)
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _factorize(base: np.ndarray, sigma: float):
+    """Lower Cholesky factor of ``base`` = K + Delta with escalating jitter;
+    returns (L, jitter)."""
+    n = base.shape[0]
     for jit in _JITTERS:
-        try:
-            L = cholesky(base + jit * sigma * np.eye(n), lower=True)
+        a = base
+        if jit:
+            a = base.copy()
+            a.flat[:: n + 1] += jit * sigma
+        _require_finite(a)
+        L, info = _potrf(a, lower=True, clean=True)
+        if info == 0:
             return L, jit
-        except np.linalg.LinAlgError:
-            continue
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
     raise GpConditioningError(
         f"covariance matrix of size {n} not positive definite after jitter "
         f"escalation to {_JITTERS[-1]:g}*sigma"
     )
+
+
+def _lml_from_differences(
+    diff: np.ndarray, y: np.ndarray, noise_matrix: np.ndarray, sigma: float, ls: np.ndarray
+) -> float:
+    """Log marginal likelihood from the training differences and Delta."""
+    K = _kernel_from_differences(diff, sigma, ls)
+    L, _ = _factorize(K + noise_matrix, sigma)
+    _require_finite(y)
+    # potrf succeeded, so L has a positive diagonal and trtrs cannot fail;
+    # LAPACK rejects an empty system, whose solution is empty
+    z = _trtrs(L, y, lower=True)[0] if y.size else y
+    return float(-0.5 * z @ z - np.log(np.diag(L)).sum() - 0.5 * y.size * _LOG2PI)
 
 
 def build_model(
@@ -123,7 +176,7 @@ def build_model(
         empty = np.empty((0, 0))
         return GpModel(X, y, d, params, empty, np.empty(0))
     K = kernel_matrix(X, X, params)
-    L, jit = _factorize(K, d, params.sigma)
+    L, jit = _factorize(K + np.diag(d), params.sigma)
     alpha = cho_solve((L, True), y)
     return GpModel(X, y, d, params, L, alpha, jit)
 
@@ -158,10 +211,28 @@ def log_marginal_likelihood(
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).reshape(-1)
     d = np.asarray(noise_diag, dtype=float).reshape(-1)
-    K = kernel_matrix(X, X, params)
-    L, _ = _factorize(K, d, params.sigma)
-    z = solve_triangular(L, y, lower=True)
-    return float(-0.5 * z @ z - np.log(np.diag(L)).sum() - 0.5 * y.size * _LOG2PI)
+    ls = np.asarray(params.lengthscales, dtype=float)
+    return _lml_from_differences(_differences(X, X), y, np.diag(d), params.sigma, ls)
+
+
+def _nll_evaluator(X: np.ndarray, y: np.ndarray, noise: np.ndarray):
+    """Negative log marginal likelihood as a function of log10 parameters
+    ``(sigma, lengthscales...)``; inf where every jitter level fails.
+
+    The parts that do not depend on the parameters are built once.
+    """
+    diff = _differences(X, X)
+    noise_matrix = np.diag(noise)
+
+    def nll(theta: np.ndarray) -> float:
+        try:
+            return -_lml_from_differences(
+                diff, y, noise_matrix, 10.0 ** theta[0], 10.0 ** theta[1:]
+            )
+        except GpConditioningError:
+            return math.inf
+
+    return nll
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -209,13 +280,7 @@ def fit_hyperparameters(
     lb = np.array([_LOG_SIGMA_BOUNDS[0]] + [_LOG_LENGTH_BOUNDS[0]] * ndim)
     ub = np.array([_LOG_SIGMA_BOUNDS[1]] + [_LOG_LENGTH_BOUNDS[1]] * ndim)
 
-    def nll(theta: np.ndarray) -> float:
-        params = KernelParams(10.0 ** theta[0], tuple(10.0 ** theta[1:]))
-        try:
-            return -log_marginal_likelihood(X, y, noise, params)
-        except GpConditioningError:
-            return math.inf
-
+    nll = _nll_evaluator(X, y, noise)
     starts = [lb + u * (ub - lb) for u in _sobol_raw(ndim + 1, _N_STARTS)]
     n_warm = len(extra_starts)
     for params in extra_starts:

@@ -1,13 +1,12 @@
 """Monte Carlo estimation of trial operating characteristics.
 
 Replicate seeds are derived from a counter, not drawn from a shared stream,
-so estimates are bitwise reproducible regardless of how replicates are
-scheduled across workers.
+so each replicate's outcome depends only on (master seed, evaluation index,
+replicate index), never on the order in which replicates run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,52 +72,31 @@ def mc_estimate(
 ) -> McEstimate:
     """Estimate the probability that ``sim`` reports True.
 
-    Runs ``n_samples`` independent replicates, each with its own derived rng,
-    and returns the success fraction with the clamped binomial variance. The
-    result is identical for any worker count because replicate seeds are
-    derived from (eval_index, replicate index), never consumed sequentially.
+    Runs ``n_samples`` independent replicates in index order, each with its
+    own derived rng, and returns the success fraction with the clamped
+    binomial variance. ``workers`` is accepted for compatibility and does not
+    change how replicates run (a thread pool over replicates measured no
+    faster than one thread). A failing simulator raises SimulationError for
+    the earliest failing replicate.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
-    def run_chunk(lo: int, hi: int) -> int:
-        count = 0
-        for i in range(lo, hi):
-            rep_seed = derive_replicate_seed(seed, eval_index, i)
-            rng = np.random.default_rng(rep_seed)
-            try:
-                outcome = sim(point, hypothesis, rng)
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise SimulationError(
-                    f"simulator failed at replicate {i} (seed {rep_seed}): {exc}",
-                    replicate_index=i,
-                    seed=rep_seed,
-                ) from exc
-            count += bool(outcome)
-        return count
-
-    if workers <= 1:
-        successes = run_chunk(0, n_samples)
-    else:
-        bounds = np.linspace(0, n_samples, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_chunk, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            counts: list[int] = []
-            errors: list[SimulationError] = []
-            for fut in futures:
-                try:
-                    counts.append(fut.result())
-                except SimulationError as exc:
-                    errors.append(exc)
-            if errors:
-                # deterministic: surface the earliest failing replicate
-                raise min(errors, key=lambda e: e.replicate_index)
-        successes = sum(counts)
+    successes = 0
+    for i in range(n_samples):
+        rep_seed = derive_replicate_seed(seed, eval_index, i)
+        rng = np.random.default_rng(rep_seed)
+        try:
+            outcome = sim(point, hypothesis, rng)
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise SimulationError(
+                f"simulator failed at replicate {i} (seed {rep_seed}): {exc}",
+                replicate_index=i,
+                seed=rep_seed,
+            ) from exc
+        successes += bool(outcome)
 
     return McEstimate(
         mean=successes / n_samples,

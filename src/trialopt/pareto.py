@@ -195,7 +195,9 @@ class HviCalculator:
 
     Precomputes the in-box staircase once so the inner acquisition search can
     score thousands of candidates cheaply; agrees with
-    ``hypervolume_improvement`` everywhere.
+    ``hypervolume_improvement`` everywhere. Called with one objective row it
+    returns a float; called with an (m, B) array of m candidates it returns m
+    values, each bit-identical to the one-row result.
     """
 
     def __init__(self, aset: ApproximationSet):
@@ -203,36 +205,63 @@ class HviCalculator:
         self.ref = tuple(float(v) for v in aset.reference)
         self.n_obj = len(self.ref)
         rows = [obj for _, obj in aset.members]
-        self._member_rows = rows
+        self._member_rows = np.array(rows, dtype=float).reshape(-1, self.n_obj)
         inside = [r for r in rows if all(v < b for v, b in zip(r, self.ref))]
         inside.sort()
-        self._inside = inside
+        self._inside = np.array(inside, dtype=float).reshape(-1, self.n_obj)
         if self.n_obj == 1:
             self._best = inside[0][0] if inside else self.ref[0]
-        elif self.n_obj == 2:
-            self._base = self._sweep2(inside)
 
-    def _sweep2(self, rows) -> float:
-        total = 0.0
-        prev = self.ref[1]
-        for f1, f2 in rows:
-            if f2 < prev:
-                total += (self.ref[0] - f1) * (prev - f2)
-                prev = f2
+    def _sweep2(self, cand: np.ndarray) -> np.ndarray:
+        """Staircase sweep of the in-box rows with each candidate merged in.
+
+        Replays the sweep of ``sorted(inside + [c])`` for every candidate row
+        ``c`` at once: each candidate's total gets the same products, added in
+        the same order, as the one-candidate sweep.
+        """
+        inside = self._inside
+        r1, r2 = self.ref
+        c1, c2 = cand[:, 0], cand[:, 1]
+        total = np.zeros(cand.shape[0])
+        prev = np.full(cand.shape[0], r2)
+        # each candidate's place in the lexicographic order (no in-box row
+        # equals a candidate whose improvement is kept)
+        slot = ((inside[:, None, 0] < c1)
+                | ((inside[:, None, 0] == c1) & (inside[:, None, 1] < c2))).sum(axis=0)
+        merged_here = np.bincount(slot, minlength=len(inside) + 1).tolist()
+        rows = inside.tolist()
+        for i in range(len(rows) + 1):
+            if merged_here[i]:
+                take = (slot == i) & (c2 < prev)
+                np.add(total, (r1 - c1) * (prev - c2), out=total, where=take)
+                np.copyto(prev, c2, where=take)
+            if i < len(rows):
+                f1, f2 = rows[i]
+                take = f2 < prev
+                np.add(total, (r1 - f1) * (prev - f2), out=total, where=take)
+                np.copyto(prev, f2, where=take)
         return total
 
-    def __call__(self, candidate: Sequence[float]) -> float:
-        cand = tuple(float(v) for v in candidate)
-        if any(c >= r for c, r in zip(cand, self.ref)):
-            return 0.0
-        for obj in self._member_rows:
-            if all(o <= c for o, c in zip(obj, cand)) and (
-                any(o < c for o, c in zip(obj, cand)) or obj == cand
-            ):
-                return 0.0
-        if self.n_obj == 1:
-            return max(0.0, self._best - cand[0])
-        if self.n_obj == 2:
-            merged = sorted(self._inside + [cand])
-            return max(0.0, self._sweep2(merged) - self._base)
-        return hypervolume_improvement(self.aset, cand)
+    def __call__(self, candidates) -> float | np.ndarray:
+        cand = np.asarray(candidates, dtype=float)
+        C = cand.reshape(-1, self.n_obj)
+        ref = np.asarray(self.ref)
+        # zero for candidates on or outside the box and for candidates that a
+        # member dominates or equals
+        zero = (C >= ref).any(axis=1)
+        zero |= (self._member_rows[:, None, :] <= C).all(axis=2).any(axis=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if self.n_obj == 1:
+                gain = self._best - C[:, 0]
+            elif self.n_obj == 2:
+                # the last row, a candidate at +inf, is never merged in: its
+                # total is the set's own volume
+                totals = self._sweep2(np.vstack([C, [np.inf, np.inf]]))
+                gain = totals[:-1] - totals[-1]
+            else:
+                gain = np.array([
+                    0.0 if z else hypervolume_improvement(self.aset, tuple(c))
+                    for z, c in zip(zero, C.tolist())
+                ])
+        out = np.where(zero | ~(gain > 0.0), 0.0, gain)
+        return float(out[0]) if cand.ndim == 1 else out

@@ -1,0 +1,185 @@
+"""Property tests: batch hypervolume improvement and the normal CDF/quantile
+forms, each against its plain one-value formulation, bit for bit."""
+
+import numpy as np
+import pytest
+from scipy.stats import norm
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from trialopt.acquisition import (  # noqa: E402
+    feasibility_quantile,
+    prob_feasible_after,
+    quantile_update,
+)
+from trialopt.domain import DesignPoint  # noqa: E402
+from trialopt.pareto import (  # noqa: E402
+    ApproximationSet,
+    HviCalculator,
+    hypervolume_improvement,
+    pareto_filter,
+)
+
+
+def ref_hvi(aset, candidate):
+    """One-candidate hypervolume improvement as a plain Python sweep."""
+    ref = tuple(float(v) for v in aset.reference)
+    rows = [obj for _, obj in aset.members]
+    inside = sorted(r for r in rows if all(v < b for v, b in zip(r, ref)))
+
+    def sweep(sorted_rows):
+        total, prev = 0.0, ref[1]
+        for f1, f2 in sorted_rows:
+            if f2 < prev:
+                total += (ref[0] - f1) * (prev - f2)
+                prev = f2
+        return total
+
+    cand = tuple(float(v) for v in candidate)
+    if any(c >= r for c, r in zip(cand, ref)):
+        return 0.0
+    for obj in rows:
+        if all(o <= c for o, c in zip(obj, cand)) and (
+            any(o < c for o, c in zip(obj, cand)) or obj == cand
+        ):
+            return 0.0
+    if len(ref) == 1:
+        return max(0.0, (inside[0][0] if inside else ref[0]) - cand[0])
+    if len(ref) == 2:
+        return max(0.0, sweep(sorted(inside + [cand])) - sweep(inside))
+    return hypervolume_improvement(aset, cand)
+
+
+def same_bits(a, b):
+    """Bitwise equality, with every NaN equal."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@st.composite
+def hvi_cases(draw):
+    """A set on a grid of thirds (ties, duplicates, members on and outside the
+    box, sums that round, possibly empty) and candidates that include
+    members, points a member dominates, points sharing one coordinate with a
+    member, points on the box boundary and points outside it."""
+    n_obj = draw(st.integers(1, 3))
+    grid = st.integers(0, 24).map(lambda v: v / 3)
+    row = st.tuples(*[grid] * n_obj)
+    ref = draw(st.tuples(*[st.integers(9, 24).map(lambda v: v / 3)] * n_obj))
+    members = draw(st.lists(row, max_size=8))
+    floats = st.floats(-1.0, 9.0, allow_nan=False)
+    kinds = [row, st.tuples(*[floats] * n_obj), st.just(ref)]
+    if members:
+        member = st.sampled_from(members)
+        offsets = st.tuples(*[st.sampled_from((0.0, 0.5, 1.0))] * n_obj)
+        kinds.append(member)
+        kinds.append(st.tuples(member, offsets)
+                     .map(lambda mo: tuple(m + o for m, o in zip(*mo))))
+        kinds.append(st.tuples(member, st.tuples(*[floats] * n_obj), st.integers(0, n_obj - 1))
+                     .map(lambda mfi: tuple(m if j == mfi[2] else f
+                                            for j, (m, f) in enumerate(zip(*mfi[:2])))))
+    cands = draw(st.lists(st.one_of(*kinds), min_size=1, max_size=12))
+    aset = ApproximationSet(tuple((DesignPoint(r), r) for r in members), ref)
+    return aset, np.array(cands, dtype=float)
+
+
+@given(hvi_cases())
+def test_batch_hvi_matches_one_candidate_sweep(case):
+    aset, cands = case
+    calc = HviCalculator(aset)
+    batch = calc(cands)
+    assert batch.shape == (cands.shape[0],)
+    for row, got in zip(cands, batch):
+        want = ref_hvi(aset, row)
+        assert same_bits(got, want)
+        single = calc(row)
+        assert isinstance(single, float)
+        assert same_bits(single, want)
+
+
+def test_batch_hvi_2d_rounding_fuzz():
+    """Real-valued sets, some filtered to a staircase, and candidates that
+    share a coordinate with a member: here a different order of the same
+    products changes the last bits."""
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        objs = rng.uniform(0.0, 11.0, (int(rng.integers(1, 12)), 2))
+        objs[1::3, 0] = objs[::3, 0][: len(objs[1::3])]
+        members = [(DesignPoint(tuple(o)), tuple(o)) for o in objs]
+        if trial % 2:
+            members = pareto_filter(members)
+        aset = ApproximationSet(tuple(members), (10.0, 10.0))
+        cands = rng.uniform(0.0, 11.0, (120, 2))
+        cands[::3, 0] = rng.choice(objs[:, 0], 40)
+        cands[1::3, 1] = rng.choice(objs[:, 1], 40)
+        got = HviCalculator(aset)(cands)
+        for row, value in zip(cands, got):
+            assert same_bits(value, ref_hvi(aset, row))
+
+
+def test_batch_hvi_of_non_finite_candidates_matches_sweep():
+    members = ((1.0, 4.0), (2.0, 2.0), (4.0, 1.0))
+    aset = ApproximationSet(tuple((DesignPoint(r), r) for r in members), (5.0, 5.0))
+    cands = np.array([[np.nan, 0.5], [0.5, np.nan], [-np.inf, 0.5], [0.5, 0.5]])
+    got = HviCalculator(aset)(cands)
+    for row, value in zip(cands, got):
+        assert same_bits(value, ref_hvi(aset, row))
+
+
+def ref_quantile_update(m, s2, omega2_plan, p):
+    m = np.asarray(m, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    omega2 = np.asarray(omega2_plan, dtype=float)
+    denom = omega2 + s2
+    safe = np.where(denom > 0, denom, 1.0)
+    s2_plus = np.where(denom > 0, s2 * s2 / safe, 0.0)
+    m_plus = m + norm.ppf(p) * np.sqrt(np.where(denom > 0, omega2 * s2 / safe, 0.0))
+    return m_plus, s2_plus
+
+
+def ref_prob_feasible_after(m_plus, s2_plus):
+    m_plus = np.asarray(m_plus, dtype=float)
+    s = np.sqrt(np.asarray(s2_plus, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > 0, norm.cdf(-m_plus / np.where(s > 0, s, 1.0)),
+                        (m_plus <= 0).astype(float))
+
+
+means = st.one_of(st.floats(-50.0, 50.0), st.sampled_from((0.0, -0.0, np.inf, -np.inf)))
+variances = st.one_of(st.floats(0.0, 10.0), st.sampled_from((0.0, 1e-300, np.inf)))
+levels = st.one_of(st.floats(0.5, 0.999999), st.sampled_from((0.5, 0.9, 0.975)))
+
+
+@given(st.lists(st.tuples(means, variances, variances), min_size=1, max_size=8), levels)
+def test_quantile_update_and_feasibility_match_scipy_stats_norm(rows, p):
+    m, s2, omega2 = (np.array(c) for c in zip(*rows))
+    with np.errstate(invalid="ignore", over="ignore"):
+        m_plus, s2_plus = quantile_update(m, s2, omega2, p)
+        want_m, want_s2 = ref_quantile_update(m, s2, omega2, p)
+        assert same_bits(m_plus, want_m) and same_bits(s2_plus, want_s2)
+        assert same_bits(prob_feasible_after(m_plus, s2_plus),
+                         ref_prob_feasible_after(want_m, want_s2))
+        assert same_bits(feasibility_quantile(m, s2, p), m + norm.ppf(p) * np.sqrt(s2))
+        for i in range(len(rows)):
+            one_m, one_s2 = quantile_update(m[i], s2[i], omega2[i], p)
+            assert isinstance(one_m, float)
+            assert same_bits(one_m, want_m[i]) and same_bits(one_s2, want_s2[i])
+            one = prob_feasible_after(one_m, one_s2)
+            assert isinstance(one, float)
+            assert same_bits(one, ref_prob_feasible_after(want_m[i], want_s2[i]))
+
+
+def test_degenerate_variances_match_scipy_stats_norm():
+    m = np.array([0.3, -0.3, 0.0, np.inf, -np.inf, 0.2])
+    s2 = np.array([0.0, 0.0, 0.0, 1.0, 1.0, np.inf])
+    omega2 = np.array([0.0, 0.1, 0.0, 0.1, 0.0, 0.1])
+    with np.errstate(invalid="ignore"):
+        got = quantile_update(m, s2, omega2, 0.975)
+        want = ref_quantile_update(m, s2, omega2, 0.975)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert same_bits(prob_feasible_after(*got), ref_prob_feasible_after(*want))
