@@ -18,6 +18,7 @@ import os
 import shutil
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -63,9 +64,14 @@ class ConfigError(Exception):
 # config handling
 # ---------------------------------------------------------------------------
 
-_BUDGET_DEFAULTS = {"n_per_eval": 100, "iterations": 30, "max_total_samples": None}
-_PSO_DEFAULTS = {"swarm_size": 40, "iterations": 200, "inertia": 0.729,
-                 "cognitive": 1.49445, "social": 1.49445, "seed": 0}
+def _attempt(problems: list[str], where: str, build):
+    """``build()``, or None with a problem recorded when a value is malformed
+    or out of range."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{where}: {exc}")
+        return None
 
 
 def load_config(path: str | Path) -> dict:
@@ -105,10 +111,12 @@ def normalize_config(raw: Mapping) -> dict:
             if not isinstance(d, dict) or not {"name", "low", "up"} <= set(d):
                 problems.append(f"design_space[{i}] needs name/low/up")
                 continue
-            cfg["design_space"].append({
+            entry = _attempt(problems, f"design_space[{i}]", lambda: {
                 "name": d["name"], "low": float(d["low"]), "up": float(d["up"]),
                 "kind": d.get("kind", "continuous"),
             })
+            if entry is not None:
+                cfg["design_space"].append(entry)
 
     hyps = raw.get("hypotheses")
     cfg["hypotheses"] = []
@@ -119,9 +127,13 @@ def normalize_config(raw: Mapping) -> dict:
             if not isinstance(h, dict) or "name" not in h or "params" not in h:
                 problems.append(f"hypotheses[{i}] needs name and params")
                 continue
-            entry = {"name": h["name"],
-                     "params": {k: float(v) for k, v in dict(h["params"]).items()},
-                     "event": h.get("event", "reject")}
+            entry = _attempt(problems, f"hypotheses[{i}]", lambda: {
+                "name": h["name"],
+                "params": {k: float(v) for k, v in dict(h["params"]).items()},
+                "event": h.get("event", "reject"),
+            })
+            if entry is None:
+                continue
             cfg["hypotheses"].append(entry)
             if scenario is not None:
                 missing = [p for p in scenario.hypothesis_params
@@ -142,11 +154,13 @@ def normalize_config(raw: Mapping) -> dict:
             if not isinstance(c, dict) or not {"label", "hypothesis", "nominal"} <= set(c):
                 problems.append(f"constraints[{i}] needs label/hypothesis/nominal")
                 continue
-            entry = {
+            entry = _attempt(problems, f"constraints[{i}]", lambda: {
                 "label": c["label"], "hypothesis": c["hypothesis"],
                 "nominal": float(c["nominal"]),
                 "confidence": float(c.get("confidence", 0.9)),
-            }
+            })
+            if entry is None:
+                continue
             cfg["constraints"].append(entry)
             if not 0.0 < entry["nominal"] < 1.0:
                 problems.append(
@@ -177,8 +191,10 @@ def normalize_config(raw: Mapping) -> dict:
                 f"{scenario.name!r} (known: {known})"
             )
     elif "coefficients" in obj and "labels" in obj:
-        coeffs = [[float(v) for v in row] for row in obj["coefficients"]]
-        labels = list(obj["labels"])
+        labels, coeffs = _attempt(problems, "objectives", lambda: (
+            list(obj["labels"]),
+            [[float(v) for v in row] for row in obj["coefficients"]],
+        )) or ([], [])
         cfg["objectives"] = {"labels": labels, "coefficients": coeffs}
         if len(coeffs) != len(labels):
             problems.append("objectives: one coefficient row per label required")
@@ -195,19 +211,18 @@ def normalize_config(raw: Mapping) -> dict:
         problems.append("'reference_point' must be a non-empty list")
         cfg["reference_point"] = []
     else:
-        cfg["reference_point"] = [float(v) for v in ref]
+        cfg["reference_point"] = _attempt(
+            problems, "reference_point", lambda: [float(v) for v in ref])
 
-    budget = dict(_BUDGET_DEFAULTS)
-    budget["initial_points"] = None
-    budget.update(raw.get("budget", {}) or {})
-    cfg["budget"] = {k: budget[k] for k in
-                     ("initial_points", "n_per_eval", "iterations", "max_total_samples")}
+    # defaults from the domain objects, whose own checks then judge the values
+    for key, default, build in (("budget", BudgetConfig(), budget_from_config),
+                                ("pso", PsoConfig(), pso_from_config)):
+        given = _attempt(problems, key, lambda: dict(raw.get(key, {}) or {}))
+        if given is not None:
+            cfg[key] = {k: given.get(k, v) for k, v in asdict(default).items()}
+            _attempt(problems, key, lambda: build(cfg))
 
-    pso = dict(_PSO_DEFAULTS)
-    pso.update(raw.get("pso", {}) or {})
-    cfg["pso"] = {k: pso[k] for k in _PSO_DEFAULTS}
-
-    cfg["seed"] = int(raw.get("seed", 0))
+    cfg["seed"] = _attempt(problems, "seed", lambda: int(raw.get("seed", 0)))
 
     if problems:
         raise ConfigError(problems)
@@ -431,20 +446,27 @@ def write_report(path: Path, problem: Problem, state: RunState,
 # commands
 # ---------------------------------------------------------------------------
 
-def _apply_overrides(cfg: dict, seed=None, iterations=None, n_per_eval=None) -> dict:
+def _apply_overrides(raw: Mapping, seed=None, iterations=None, n_per_eval=None) -> dict:
+    """The raw config with the command line's values in place of its own, so
+    that ``normalize_config`` checks them too."""
+    raw = dict(raw)
     if seed is not None:
-        cfg["seed"] = int(seed)
-    if iterations is not None:
-        cfg["budget"]["iterations"] = int(iterations)
-    if n_per_eval is not None:
-        cfg["budget"]["n_per_eval"] = int(n_per_eval)
-    return cfg
+        raw["seed"] = int(seed)
+    budget = raw.get("budget") or {}
+    if isinstance(budget, Mapping):
+        budget = dict(budget)
+        if iterations is not None:
+            budget["iterations"] = int(iterations)
+        if n_per_eval is not None:
+            budget["n_per_eval"] = int(n_per_eval)
+        raw["budget"] = budget
+    return raw
 
 
 def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
             n_per_eval=None, workers: int = 1) -> int:
-    cfg = _apply_overrides(normalize_config(load_config(config_path)),
-                           seed, iterations, n_per_eval)
+    cfg = normalize_config(_apply_overrides(load_config(config_path),
+                                            seed, iterations, n_per_eval))
     problem, simulators, _ = build_problem(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -562,8 +584,8 @@ def cmd_resume(checkpoint_path: str, iterations: int = 0,
 def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
                  n_per_eval=None, confidence: float = 0.975,
                  workers: int = 1) -> int:
-    cfg = _apply_overrides(normalize_config(load_config(config_path)),
-                           seed, None, n_per_eval)
+    cfg = normalize_config(_apply_overrides(load_config(config_path),
+                                            seed, None, n_per_eval))
     problem, simulators, _ = build_problem(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .acquisition import (
     PsoConfig,
@@ -427,7 +426,6 @@ def fixed_design_search(
         for name in problem.constrained_hypotheses:
             _evaluate(state, sims, point, name, 0, workers, record_callback)
 
-    z = norm.ppf(confidence)
     by_point: dict[tuple[float, ...], dict[str, EvaluationRecord]] = {}
     order: list[DesignPoint] = []
     for rec in state.records:
@@ -441,7 +439,7 @@ def fixed_design_search(
         ok = True
         for con in problem.constraints:
             rec = recs[con.hypothesis]
-            upper = rec.estimate + z * math.sqrt(rec.mc_variance)
+            upper = feasibility_quantile(rec.estimate, rec.mc_variance, confidence)
             if not upper < con.nominal:
                 ok = False
                 break

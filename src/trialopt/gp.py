@@ -14,10 +14,11 @@ outputs depend on those comparisons:
   summed over axis 0. numpy adds the D terms of each entry in order, as the
   reduction over a trailing ``(n, m, D)`` axis does.
 - Factorizations call LAPACK ``potrf`` (lower, ``clean=True``) and the
-  likelihood solve calls ``trtrs`` (lower, no transpose) directly, with the
-  arguments ``scipy.linalg.cholesky(lower=True)`` and
-  ``solve_triangular(lower=True)`` pass on to them. Their input checks are
-  kept: a non-finite matrix or target vector raises ``ValueError``.
+  likelihood and prediction solves call ``trtrs`` (lower, no transpose)
+  directly, with the arguments ``scipy.linalg.cholesky(lower=True)`` and
+  ``solve_triangular(lower=True)`` pass on to them for the Fortran-ordered
+  factor ``potrf`` returns. Their input checks are kept: a non-finite
+  matrix, target vector or cross-covariance raises ``ValueError``.
 - Jitter ``j`` is added as ``j * sigma`` to the diagonal only; the
   off-diagonal entries of ``j * sigma * I`` are zeros, which change nothing.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
+from scipy.linalg import cho_solve, get_lapack_funcs
 
 from .sobol import _sobol_raw
 
@@ -190,7 +191,9 @@ def gp_predict_many(model: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return np.zeros(m), np.full(m, prior_var)
     k_star = kernel_matrix(model.inputs, X, model.params)
     mean = k_star.T @ model.alpha
-    v = solve_triangular(model.chol, k_star, lower=True)
+    _require_finite(k_star)
+    # LAPACK rejects an empty system: no query rows leave v empty
+    v = _trtrs(model.chol, k_star, lower=True)[0] if k_star.size else k_star
     var = prior_var - np.einsum("ij,ij->j", v, v)
     return mean, np.maximum(var, 0.0)
 

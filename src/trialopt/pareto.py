@@ -1,9 +1,15 @@
 """Pareto dominance, approximation sets and exact dominated hypervolume.
 
-All objectives are minimized. Exact hypervolume is implemented for one to
-three objectives: a sorted sweep in 2-D and a dimension sweep over slices in
-3-D. Members that do not strictly dominate the reference point are kept in
-the set but contribute zero volume.
+All objectives are minimized. Exact hypervolume covers one to three
+objectives with a vectorised nondominated mask, one staircase sweep (2-D)
+and slices along the third objective, each measured by that sweep (3-D).
+Members not strictly inside the reference box are kept but add no volume.
+
+The sweep visits rows in lexicographic order, so a row that another row
+dominates or equals comes after it and is skipped without any arithmetic:
+the other rows get the same products, in the same order, as on the filtered
+set. 3-D rows are masked first, because a dominated row's level would split
+a slice in two and change the rounding of the sum.
 """
 
 from __future__ import annotations
@@ -31,6 +37,15 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def nondominated_mask(rows: np.ndarray) -> np.ndarray:
+    """True for each row of an (n, B) array that no other row dominates; of
+    equal rows only the first is kept."""
+    # le[j, i]: row j <= row i componentwise
+    le = np.logical_and.reduce([c[:, None] <= c for c in np.asarray(rows, dtype=float).T])
+    order = np.arange(len(le))
+    return ~(le & (~le.T | (order[:, None] < order))).any(axis=0)
+
+
 @dataclass(frozen=True)
 class ApproximationSet:
     """Mutually nondominated evaluated solutions plus the reference point."""
@@ -40,11 +55,8 @@ class ApproximationSet:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(
-            (p, tuple(float(v) for v in obj)) for p, obj in self.members
-        ))
-        object.__setattr__(
-            self, "reference", tuple(float(v) for v in self.reference)
-        )
+            (p, tuple(float(v) for v in obj)) for p, obj in self.members))
+        object.__setattr__(self, "reference", tuple(float(v) for v in self.reference))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -65,203 +77,114 @@ def pareto_filter(
     ties in the first objective keep input order.
     """
     entries = [(p, tuple(float(v) for v in obj)) for p, obj in points]
-    kept: list[tuple[DesignPoint, tuple[float, ...]]] = []
-    seen: set[tuple[float, ...]] = set()
-    for i, (p, obj) in enumerate(entries):
-        if obj in seen:
-            continue
-        dominated = False
-        for j, (_, other) in enumerate(entries):
-            if j != i and dominates(other, obj):
-                dominated = True
-                break
-        if not dominated:
-            kept.append((p, obj))
-            seen.add(obj)
-    kept.sort(key=lambda m: m[1][0])
-    return kept
+    if not entries:
+        return []
+    keep = nondominated_mask([obj for _, obj in entries])
+    return sorted((e for e, k in zip(entries, keep) if k), key=lambda m: m[1][0])
 
 
-def _inside(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Rows strictly dominating the reference point (positive-volume boxes)."""
-    if rows.size == 0:
-        return rows
-    return rows[np.all(rows < ref, axis=1)]
+def _front(aset: ApproximationSet) -> tuple[np.ndarray, np.ndarray]:
+    """The reference point, and the members strictly inside its box in
+    lexicographic order (in 3-D only the mutually nondominated ones)."""
+    ref = np.asarray(aset.reference, dtype=float)
+    if not 1 <= ref.size <= MAX_OBJECTIVES:
+        raise UnsupportedDimensionError(
+            f"hypervolume supports 1..{MAX_OBJECTIVES} objectives, got {ref.size}")
+    rows = aset.objective_rows
+    rows = rows[(rows < ref).all(axis=1)]
+    if ref.size == 3:
+        rows = rows[nondominated_mask(rows)]
+    return ref, rows[np.lexsort(rows.T[::-1])]
 
 
-def _hv2(rows: np.ndarray, ref: np.ndarray) -> float:
-    """2-D hypervolume of mutually nondominated in-box rows by sorted sweep."""
-    if rows.shape[0] == 0:
-        return 0.0
-    order = np.argsort(rows[:, 0], kind="stable")
-    rows = rows[order]
-    total = 0.0
-    prev_f2 = ref[1]
-    for f1, f2 in rows:
-        if f2 < prev_f2:
-            total += (ref[0] - f1) * (prev_f2 - f2)
-            prev_f2 = f2
+def _sweep(rows: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Staircase area of lexicographically sorted rows (first two columns)
+    with each candidate merged in at its place, for all candidates at once:
+    each total gets the one-candidate sweep's products in the same order. A
+    +inf candidate is never merged and yields the area of ``rows`` alone."""
+    r1, r2 = float(ref[0]), float(ref[1])
+    c1, c2 = cand[:, 0], cand[:, 1]
+    total, prev = np.zeros(len(cand)), np.full(len(cand), r2)
+    slot = ((rows[:, None, 0] < c1)
+            | ((rows[:, None, 0] == c1) & (rows[:, None, 1] < c2))).sum(axis=0)
+    merged_here = np.bincount(slot, minlength=len(rows) + 1).tolist()
+    steps = rows[:, :2].tolist()
+    for i in range(len(steps) + 1):
+        if merged_here[i]:
+            take = (slot == i) & (c2 < prev)
+            np.add(total, (r1 - c1) * (prev - c2), out=total, where=take)
+            np.copyto(prev, c2, where=take)
+        if i < len(steps):
+            f1, f2 = steps[i]
+            take = f2 < prev
+            np.add(total, (r1 - f1) * (prev - f2), out=total, where=take)
+            np.copyto(prev, f2, where=take)
     return total
 
 
-def _nondominated_rows(rows: np.ndarray) -> np.ndarray:
-    keep = []
-    for i in range(rows.shape[0]):
-        dominated = False
-        for j in range(rows.shape[0]):
-            if j != i and dominates(rows[j], rows[i]):
-                dominated = True
-                break
-            if j < i and np.array_equal(rows[j], rows[i]):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return rows[keep]
-
-
-def _hv3(rows: np.ndarray, ref: np.ndarray) -> float:
-    """3-D hypervolume by sweeping slices along the third objective."""
-    if rows.shape[0] == 0:
-        return 0.0
-    order = np.argsort(rows[:, 2], kind="stable")
-    rows = rows[order]
-    levels = rows[:, 2]
-    total = 0.0
-    for i in range(rows.shape[0]):
-        z_lo = levels[i]
-        z_hi = levels[i + 1] if i + 1 < rows.shape[0] else ref[2]
-        if z_hi <= z_lo:
-            continue
-        active = _nondominated_rows(rows[: i + 1, :2])
-        total += _hv2(active, ref[:2]) * (z_hi - z_lo)
+def _volume(front: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Volume of a ``_front`` with each in-box candidate that no front row
+    dominates or equals merged in; a +inf row gives the front's own volume.
+    In 3-D it sums, in ascending order, one slice per level of the candidate
+    and of the rows it does not dominate: the sweep of the rows at or below."""
+    if ref.size == 1:
+        return ref[0] - np.minimum(cand[:, 0], front[:, 0].min(initial=ref[0]))
+    if ref.size == 2:
+        return _sweep(front, cand, ref)
+    beaten = (cand[None, :, :] <= front[:, None, :]).all(axis=2)
+    levels = np.unique(np.concatenate([front[:, 2], cand[:, 2]]))
+    levels = levels[levels < ref[2]]
+    own = (cand[:, 2] == levels[:, None]) | (
+        (front[:, None, 2] == levels[:, None, None]) & ~beaten).any(axis=1)
+    tops, top = np.empty(own.shape), np.full(len(cand), ref[2])
+    for k in reversed(range(len(levels))):
+        tops[k] = top
+        top = np.where(own[k], levels[k], top)
+    total = np.zeros(len(cand))
+    for k, z in enumerate(levels):
+        merged = np.where(cand[:, 2:] <= z, cand[:, :2], np.inf)
+        area = _sweep(front[front[:, 2] <= z], merged, ref)
+        np.add(total, area * (tops[k] - z), out=total, where=own[k])
     return total
 
 
 def hypervolume(aset: ApproximationSet) -> float:
     """Exact volume dominated by the set's members, bounded by the reference."""
-    n_obj = len(aset.reference)
-    if not 1 <= n_obj <= MAX_OBJECTIVES:
-        raise UnsupportedDimensionError(
-            f"hypervolume supports 1..{MAX_OBJECTIVES} objectives, got {n_obj}"
-        )
-    ref = np.asarray(aset.reference, dtype=float)
-    rows = _inside(aset.objective_rows, ref)
-    if rows.shape[0] == 0:
-        return 0.0
-    if n_obj == 1:
-        return float(ref[0] - rows.min())
-    if n_obj == 2:
-        return float(_hv2(rows, ref))
-    return float(_hv3(rows, ref))
+    ref, front = _front(aset)
+    return float(_volume(front, np.full((1, ref.size), np.inf), ref)[0])
 
 
-def _hv_rows(rows: np.ndarray, ref: np.ndarray) -> float:
-    """Dominated volume of arbitrary rows (dominated entries add nothing)."""
-    rows = _inside(rows, ref)
-    if rows.shape[0] == 0:
-        return 0.0
-    if ref.size == 1:
-        return float(ref[0] - rows.min())
-    if ref.size == 2:
-        return float(_hv2(_nondominated_rows(rows), ref))
-    return float(_hv3(_nondominated_rows(rows), ref))
-
-
-def hypervolume_improvement(
-    aset: ApproximationSet, candidate: Sequence[float]
-) -> float:
-    """Hypervolume gained by adding ``candidate`` to the set (0 if dominated
-    or outside the reference box)."""
-    cand = np.asarray(candidate, dtype=float)
-    ref = np.asarray(aset.reference, dtype=float)
-    if not 1 <= ref.size <= MAX_OBJECTIVES:
-        raise UnsupportedDimensionError(
-            f"hypervolume supports 1..{MAX_OBJECTIVES} objectives, got {ref.size}"
-        )
-    if not np.all(cand < ref):
-        return 0.0
-    for _, obj in aset.members:
-        if tuple(cand) == obj or dominates(obj, cand):
-            return 0.0
-    rows = aset.objective_rows
-    base = _hv_rows(rows, ref)
-    new = _hv_rows(np.vstack([rows, cand[None, :]]), ref)
-    return max(0.0, new - base)
+def hypervolume_improvement(aset: ApproximationSet, candidate: Sequence[float]) -> float:
+    """Volume gained by adding ``candidate`` (0 if dominated or outside the box)."""
+    return HviCalculator(aset)(np.asarray(candidate, dtype=float))
 
 
 class HviCalculator:
-    """Repeated hypervolume-improvement queries against a fixed set.
-
-    Precomputes the in-box staircase once so the inner acquisition search can
-    score thousands of candidates cheaply; agrees with
-    ``hypervolume_improvement`` everywhere. Called with one objective row it
-    returns a float; called with an (m, B) array of m candidates it returns m
-    values, each bit-identical to the one-row result.
-    """
+    """Hypervolume improvements over a fixed set, whose front is computed
+    once. One objective row gives a float; an (m, B) array gives m values,
+    each bit-identical to the one-row result."""
 
     def __init__(self, aset: ApproximationSet):
         self.aset = aset
-        self.ref = tuple(float(v) for v in aset.reference)
-        self.n_obj = len(self.ref)
-        rows = [obj for _, obj in aset.members]
-        self._member_rows = np.array(rows, dtype=float).reshape(-1, self.n_obj)
-        inside = [r for r in rows if all(v < b for v, b in zip(r, self.ref))]
-        inside.sort()
-        self._inside = np.array(inside, dtype=float).reshape(-1, self.n_obj)
-        if self.n_obj == 1:
-            self._best = inside[0][0] if inside else self.ref[0]
-
-    def _sweep2(self, cand: np.ndarray) -> np.ndarray:
-        """Staircase sweep of the in-box rows with each candidate merged in.
-
-        Replays the sweep of ``sorted(inside + [c])`` for every candidate row
-        ``c`` at once: each candidate's total gets the same products, added in
-        the same order, as the one-candidate sweep.
-        """
-        inside = self._inside
-        r1, r2 = self.ref
-        c1, c2 = cand[:, 0], cand[:, 1]
-        total = np.zeros(cand.shape[0])
-        prev = np.full(cand.shape[0], r2)
-        # each candidate's place in the lexicographic order (no in-box row
-        # equals a candidate whose improvement is kept)
-        slot = ((inside[:, None, 0] < c1)
-                | ((inside[:, None, 0] == c1) & (inside[:, None, 1] < c2))).sum(axis=0)
-        merged_here = np.bincount(slot, minlength=len(inside) + 1).tolist()
-        rows = inside.tolist()
-        for i in range(len(rows) + 1):
-            if merged_here[i]:
-                take = (slot == i) & (c2 < prev)
-                np.add(total, (r1 - c1) * (prev - c2), out=total, where=take)
-                np.copyto(prev, c2, where=take)
-            if i < len(rows):
-                f1, f2 = rows[i]
-                take = f2 < prev
-                np.add(total, (r1 - f1) * (prev - f2), out=total, where=take)
-                np.copyto(prev, f2, where=take)
-        return total
+        self.ref, self._front = _front(aset)
+        self.n_obj = self.ref.size
 
     def __call__(self, candidates) -> float | np.ndarray:
         cand = np.asarray(candidates, dtype=float)
+        if cand.shape[-1:] != (self.n_obj,):
+            raise ValueError(f"candidates need {self.n_obj} objective values per row")
         C = cand.reshape(-1, self.n_obj)
-        ref = np.asarray(self.ref)
-        # zero for candidates on or outside the box and for candidates that a
-        # member dominates or equals
-        zero = (C >= ref).any(axis=1)
-        zero |= (self._member_rows[:, None, :] <= C).all(axis=2).any(axis=0)
+        front, ref = self._front, self.ref
+        # zero on or outside the box (NaN too) or where a member dominates or equals it
+        zero = ~(C < ref).all(axis=1) | (front[:, None, :] <= C).all(axis=2).any(axis=0)
         with np.errstate(invalid="ignore", over="ignore"):
             if self.n_obj == 1:
-                gain = self._best - C[:, 0]
-            elif self.n_obj == 2:
-                # the last row, a candidate at +inf, is never merged in: its
-                # total is the set's own volume
-                totals = self._sweep2(np.vstack([C, [np.inf, np.inf]]))
-                gain = totals[:-1] - totals[-1]
+                gain = front[:, 0].min(initial=ref[0]) - C[:, 0]
             else:
-                gain = np.array([
-                    0.0 if z else hypervolume_improvement(self.aset, tuple(c))
-                    for z, c in zip(zero, C.tolist())
-                ])
+                # zeroed rows become +inf, never merged; the last +inf row
+                # gives the set's own volume
+                rows = np.where(zero[:, None], np.inf, C)
+                totals = _volume(front, np.vstack([rows, np.full(ref.size, np.inf)]), ref)
+                gain = totals[:-1] - totals[-1]
         out = np.where(zero | ~(gain > 0.0), 0.0, gain)
         return float(out[0]) if cand.ndim == 1 else out

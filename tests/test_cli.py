@@ -80,6 +80,32 @@ def test_config_errors_are_all_listed(tmp_path, capsys):
     assert "nominal" in err or "outside (0, 1)" in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("design_space", "low", "abc"),
+    ("budget", "n_per_eval", 0),
+    ("budget", "iterations", "ten"),
+    ("pso", "swarm_size", 1),
+])
+def test_malformed_value_exits_2_before_writing(tmp_path, capsys, section, key, value):
+    bad = analytic_config()
+    (bad[section][0] if section == "design_space" else bad[section])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error: {section}" in capsys.readouterr().err
+
+
+def test_malformed_command_line_budget_exits_2_before_writing(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--n-per-eval", "0"]) == 2
+    assert main(["baseline", str(cfg), "--out", str(out), "--n-per-eval", "0"]) == 2
+    assert not out.exists()
+    assert "n_per_eval must be >= 1" in capsys.readouterr().err
+
+
 def test_rerun_same_seed_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -20,6 +20,7 @@ from trialopt.gp import (
     KernelParams,
     build_model,
     fit_hyperparameters,
+    gp_predict_many,
     kernel_matrix,
     log_marginal_likelihood,
 )
@@ -60,6 +61,13 @@ def ref_nll_evaluator(X, y, noise):
             return math.inf
 
     return nll
+
+
+def ref_predict_many(model, X):
+    k_star = ref_kernel_matrix(model.inputs, X, model.params)
+    v = solve_triangular(model.chol, k_star, lower=True)
+    var = model.params.sigma - np.einsum("ij,ij->j", v, v)
+    return k_star.T @ model.alpha, np.maximum(var, 0.0)
 
 
 def bits(a):
@@ -196,3 +204,32 @@ def test_non_finite_inputs_raise_value_error():
         log_marginal_likelihood(X, y_bad, noise, params)
     with pytest.raises(ValueError):
         ref_lml(X, y_bad, noise, params)
+
+
+def test_predict_matches_solve_triangular():
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        d = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 50))
+        X = rng.random((n, d))
+        if trial % 4 == 0:
+            X[n // 2:] = X[: n - n // 2]  # repeated inputs need jitter
+        model = build_model(X, rng.standard_normal(n), rng.uniform(0, 0.01, n),
+                            random_params(rng, d))
+        Q = rng.random((int(rng.integers(0, 30)), d))
+        mean, var = gp_predict_many(model, Q)
+        want_mean, want_var = ref_predict_many(model, Q)
+        assert mean.shape == var.shape == (Q.shape[0],)
+        assert same_bits(mean, want_mean) and same_bits(var, want_var)
+
+
+def test_predict_at_nan_input_raises_value_error():
+    rng = np.random.default_rng(6)
+    model = build_model(rng.random((6, 2)), rng.standard_normal(6), np.full(6, 1e-3),
+                        KernelParams(1.0, (0.5, 0.5)))
+    Q = rng.random((3, 2))
+    Q[1, 0] = np.nan  # a NaN cross-covariance; an infinite input gives exp(-inf) = 0
+    with pytest.raises(ValueError):
+        gp_predict_many(model, Q)
+    with pytest.raises(ValueError):
+        ref_predict_many(model, Q)

@@ -1,5 +1,9 @@
-"""Property tests: batch hypervolume improvement and the normal CDF/quantile
-forms, each against its plain one-value formulation, bit for bit."""
+"""Property tests: the Pareto filter and nondominated mask against the
+pairwise definition, hypervolume against a count of unit cells, batch
+hypervolume improvement against a plain Python sweep, and the normal
+CDF/quantile forms against ``scipy.stats.norm``; the last two bit for bit."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -18,38 +22,65 @@ from trialopt.domain import DesignPoint  # noqa: E402
 from trialopt.pareto import (  # noqa: E402
     ApproximationSet,
     HviCalculator,
-    hypervolume_improvement,
+    hypervolume,
+    nondominated_mask,
     pareto_filter,
 )
 
 
-def ref_hvi(aset, candidate):
-    """One-candidate hypervolume improvement as a plain Python sweep."""
-    ref = tuple(float(v) for v in aset.reference)
-    rows = [obj for _, obj in aset.members]
-    inside = sorted(r for r in rows if all(v < b for v, b in zip(r, ref)))
+def ref_nondominated(rows):
+    """Indices of the rows no other row dominates, pair by pair; of equal
+    rows only the first."""
+    return [i for i, r in enumerate(rows)
+            if not any(o != r and all(a <= b for a, b in zip(o, r)) for o in rows)
+            and r not in rows[:i]]
 
-    def sweep(sorted_rows):
+
+def ref_volume(rows, ref):
+    """Volume dominated by the in-box rows: 1-D ref - min, 2-D a sweep of the
+    filtered rows sorted by the first objective, 3-D slices along the third
+    objective between the filtered rows' levels, each slice such a sweep."""
+    rows = [r for r in rows if all(v < b for v, b in zip(r, ref))]
+    rows = [rows[i] for i in ref_nondominated(rows)]
+    if not rows:
+        return 0.0
+    if len(ref) == 1:
+        return ref[0] - min(r[0] for r in rows)
+
+    def sweep(front):
         total, prev = 0.0, ref[1]
-        for f1, f2 in sorted_rows:
+        for f1, f2 in sorted(front[i] for i in ref_nondominated(front)):
             if f2 < prev:
                 total += (ref[0] - f1) * (prev - f2)
                 prev = f2
         return total
 
+    if len(ref) == 2:
+        return sweep(rows)
+    levels = sorted({r[2] for r in rows}) + [ref[2]]
+    total = 0.0
+    for z, top in zip(levels, levels[1:]):
+        total += sweep([r[:2] for r in rows if r[2] <= z]) * (top - z)
+    return total
+
+
+def ref_hvi(aset, candidate):
+    """One-candidate hypervolume improvement in plain Python: zero for a
+    candidate outside the box or weakly dominated by a member, else the
+    volume of the set with the candidate added less the set's own (1-D:
+    the best in-box member less the candidate)."""
+    ref = tuple(float(v) for v in aset.reference)
+    rows = [obj for _, obj in aset.members]
     cand = tuple(float(v) for v in candidate)
     if any(c >= r for c, r in zip(cand, ref)):
         return 0.0
     for obj in rows:
-        if all(o <= c for o, c in zip(obj, cand)) and (
-            any(o < c for o, c in zip(obj, cand)) or obj == cand
-        ):
+        if all(o <= c for o, c in zip(obj, cand)):
             return 0.0
     if len(ref) == 1:
-        return max(0.0, (inside[0][0] if inside else ref[0]) - cand[0])
-    if len(ref) == 2:
-        return max(0.0, sweep(sorted(inside + [cand])) - sweep(inside))
-    return hypervolume_improvement(aset, cand)
+        inside = [r[0] for r in rows if r[0] < ref[0]]
+        return max(0.0, min(inside, default=ref[0]) - cand[0])
+    return max(0.0, ref_volume(rows + [cand], ref) - ref_volume(rows, ref))
 
 
 def same_bits(a, b):
@@ -122,6 +153,29 @@ def test_batch_hvi_2d_rounding_fuzz():
             assert same_bits(value, ref_hvi(aset, row))
 
 
+def test_batch_hvi_3d_rounding_fuzz():
+    """Real-valued 3-D sets, some holding dominated members, and candidates
+    that share coordinates with members, dominate them or are dominated by
+    them: here splitting a slice, or adding the slices in another order,
+    changes the last bits."""
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        objs = rng.uniform(0.0, 11.0, (int(rng.integers(1, 10)), 3))
+        objs[1::3, 2] = objs[::3, 2][: len(objs[1::3])]
+        members = [(DesignPoint(tuple(o)), tuple(o)) for o in objs]
+        if trial % 2:
+            members = pareto_filter(members)
+        aset = ApproximationSet(tuple(members), (10.0, 10.0, 10.0))
+        cands = rng.uniform(0.0, 11.0, (40, 3))
+        cands[::2, 2] = rng.choice(objs[:, 2], 20)
+        cands[::3, :2] = objs[rng.integers(0, len(objs), 14), :2] - rng.uniform(0.0, 1.0, (14, 2))
+        offsets = rng.uniform(0.0, 1.0, (10, 3)) * (rng.random((10, 3)) < 0.6)
+        cands[1::4] = objs[rng.integers(0, len(objs), 10)] + offsets
+        got = HviCalculator(aset)(cands)
+        for row, value in zip(cands, got):
+            assert same_bits(value, ref_hvi(aset, row))
+
+
 def test_batch_hvi_of_non_finite_candidates_matches_sweep():
     members = ((1.0, 4.0), (2.0, 2.0), (4.0, 1.0))
     aset = ApproximationSet(tuple((DesignPoint(r), r) for r in members), (5.0, 5.0))
@@ -129,6 +183,39 @@ def test_batch_hvi_of_non_finite_candidates_matches_sweep():
     got = HviCalculator(aset)(cands)
     for row, value in zip(cands, got):
         assert same_bits(value, ref_hvi(aset, row))
+
+
+small_grid_rows = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(0, 4).map(float)] * d), max_size=12))
+
+
+@given(small_grid_rows)
+def test_pareto_filter_and_mask_match_pairwise_definition(rows):
+    keep = ref_nondominated(rows)
+    if rows:
+        assert nondominated_mask(np.array(rows)).tolist() == [
+            i in keep for i in range(len(rows))]
+    points = [(DesignPoint((float(i),)), r) for i, r in enumerate(rows)]
+    kept = pareto_filter(points)
+    want = sorted((points[i] for i in keep), key=lambda m: m[1][0])
+    assert len(kept) == len(want)
+    for (p, obj), (q, want_obj) in zip(kept, want):
+        assert p is q and obj == want_obj  # the first of equal rows survives
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 7).map(float)] * d), max_size=10),
+    st.tuples(*[st.integers(1, 6).map(float)] * d))))
+def test_hypervolume_counts_unit_cells_on_integer_grids(case):
+    rows, ref = case
+    cells = sum(
+        any(all(v <= c for v, c in zip(r, cell)) for r in rows)
+        for cell in itertools.product(*[range(int(b)) for b in ref])
+    )
+    for members in (rows, [obj for _, obj in pareto_filter(
+            [(DesignPoint((float(i),)), r) for i, r in enumerate(rows)])]):
+        aset = ApproximationSet(tuple((DesignPoint(r), r) for r in members), ref)
+        assert hypervolume(aset) == cells
 
 
 def ref_quantile_update(m, s2, omega2_plan, p):

@@ -100,6 +100,15 @@ def test_improvement_outside_reference_box_is_zero():
     assert hypervolume_improvement(aset, (500, 30)) == 0.0
 
 
+def test_improvement_of_wrong_length_candidate_raises():
+    aset = as_set(PAPER_SET, PAPER_REF)
+    for bad in ((990.0,), (500.0, 5.0, 1.0, 1.0), 500.0):
+        with pytest.raises(ValueError):
+            hypervolume_improvement(aset, bad)
+    with pytest.raises(ValueError):
+        HviCalculator(aset)(np.ones((4, 3)))
+
+
 def test_hypervolume_monotone_under_insertion():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -153,8 +162,10 @@ def test_hvi_calculator_matches_reference():
             filtered = pareto_filter([(DesignPoint(tuple(o)), tuple(o)) for o in objs])
             aset = ApproximationSet(tuple(filtered), ref)
             calc = HviCalculator(aset)
+            base = hypervolume(aset)
             for _ in range(10):
                 cand = rng.uniform(0, 11, n_obj)
-                assert calc(cand) == pytest.approx(
-                    hypervolume_improvement(aset, cand), abs=1e-10
-                )
+                merged = pareto_filter(filtered + [(DesignPoint(tuple(cand)), tuple(cand))])
+                gain = hypervolume(ApproximationSet(tuple(merged), ref)) - base
+                assert calc(cand) == pytest.approx(max(0.0, gain), abs=1e-10)
+                assert calc(cand) == hypervolume_improvement(aset, cand)
