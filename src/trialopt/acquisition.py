@@ -83,8 +83,7 @@ def expected_improvement_batch(
     out = np.zeros(X.shape[0])
     live = np.flatnonzero(~(prob <= 0.0))
     if live.size:
-        rows = np.array([objectives(X[i]) for i in live], dtype=float)
-        out[live] = HviCalculator(current)(rows) * prob[live]
+        out[live] = HviCalculator(current)(objectives(X[live])) * prob[live]
     return out
 
 

@@ -222,7 +222,7 @@ def normalize_config(raw: Mapping) -> dict:
             cfg[key] = {k: given.get(k, v) for k, v in asdict(default).items()}
             _attempt(problems, key, lambda: build(cfg))
 
-    cfg["seed"] = _attempt(problems, "seed", lambda: int(raw.get("seed", 0)))
+    cfg["seed"] = _attempt(problems, "seed", lambda: _whole(raw.get("seed", 0), "seed"))
 
     if problems:
         raise ConfigError(problems)
@@ -257,21 +257,7 @@ def build_problem(cfg: Mapping) -> tuple[Problem, dict, Scenario]:
         for c in cfg["constraints"]
     )
 
-    obj_cfg = cfg["objectives"]
-    if "formula" in obj_cfg:
-        labels, formula = scenario.objective_formulas[obj_cfg["formula"]]
-        names = space.names
-
-        def evaluate(coords: np.ndarray, _f=formula, _names=names) -> np.ndarray:
-            return np.asarray(_f(dict(zip(_names, coords))), dtype=float)
-    else:
-        labels = tuple(obj_cfg["labels"])
-        matrix = np.asarray(obj_cfg["coefficients"], dtype=float)
-
-        def evaluate(coords: np.ndarray, _m=matrix) -> np.ndarray:
-            return _m @ np.asarray(coords, dtype=float)
-
-    objectives = ObjectiveSpec(tuple(labels), evaluate)
+    objectives = build_objectives(cfg["objectives"], scenario, space.names)
     problem = Problem(space, objectives, constraints, hypotheses,
                       tuple(cfg["reference_point"]))
 
@@ -285,23 +271,54 @@ def build_problem(cfg: Mapping) -> tuple[Problem, dict, Scenario]:
     return problem, simulators, scenario
 
 
+def _whole(value, name: str) -> int:
+    """``int(value)`` for a count; a fraction such as 2.7 is refused rather
+    than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def build_objectives(obj_cfg: Mapping, scenario: Scenario,
+                     names: Sequence[str]) -> ObjectiveSpec:
+    """Batch objectives from a normalized ``objectives`` entry: a scenario
+    formula, given one column per design parameter, or a coefficient matrix."""
+    if "formula" in obj_cfg:
+        labels, formula = scenario.objective_formulas[obj_cfg["formula"]]
+
+        def evaluate(X: np.ndarray) -> np.ndarray:
+            return np.column_stack(formula(dict(zip(names, X.T))))
+    else:
+        labels = obj_cfg["labels"]
+        matrix = np.asarray(obj_cfg["coefficients"], dtype=float)
+
+        def evaluate(X: np.ndarray) -> np.ndarray:
+            # one matrix-vector product per row, rounded as ``matrix @ x`` is;
+            # ``X @ matrix.T`` sums in another order and can differ in the last bit
+            return np.matmul(matrix, X[:, :, None])[:, :, 0]
+
+    return ObjectiveSpec(tuple(labels), evaluate)
+
+
 def budget_from_config(cfg: Mapping) -> BudgetConfig:
     b = cfg["budget"]
     return BudgetConfig(
-        iterations=int(b["iterations"]),
-        n_per_eval=int(b["n_per_eval"]),
-        initial_points=None if b["initial_points"] is None else int(b["initial_points"]),
+        iterations=_whole(b["iterations"], "iterations"),
+        n_per_eval=_whole(b["n_per_eval"], "n_per_eval"),
+        initial_points=(None if b["initial_points"] is None
+                        else _whole(b["initial_points"], "initial_points")),
         max_total_samples=(None if b["max_total_samples"] is None
-                           else int(b["max_total_samples"])),
+                           else _whole(b["max_total_samples"], "max_total_samples")),
     )
 
 
 def pso_from_config(cfg: Mapping) -> PsoConfig:
     p = cfg["pso"]
     return PsoConfig(
-        swarm_size=int(p["swarm_size"]), iterations=int(p["iterations"]),
+        swarm_size=_whole(p["swarm_size"], "swarm_size"),
+        iterations=_whole(p["iterations"], "iterations"),
         inertia=float(p["inertia"]), cognitive=float(p["cognitive"]),
-        social=float(p["social"]), seed=int(p["seed"]),
+        social=float(p["social"]), seed=_whole(p["seed"], "seed"),
     )
 
 

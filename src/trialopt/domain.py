@@ -8,7 +8,8 @@ to share across concurrent evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -21,6 +22,12 @@ DIM_KINDS = (INTEGER, CONTINUOUS)
 EVENT_REJECT = "reject"
 EVENT_ACCEPT = "accept"
 EVENTS = (EVENT_REJECT, EVENT_ACCEPT)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,17 +57,18 @@ class DesignSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dims)
 
-    @property
+    # bounds and mask are built once per space and shared, so they are read-only
+    @cached_property
     def lower(self) -> np.ndarray:
-        return np.array([d.lower for d in self.dims], dtype=float)
+        return _read_only([d.lower for d in self.dims], float)
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return np.array([d.upper for d in self.dims], dtype=float)
+        return _read_only([d.upper for d in self.dims], float)
 
-    @property
+    @cached_property
     def integer_mask(self) -> np.ndarray:
-        return np.array([d.kind == INTEGER for d in self.dims], dtype=bool)
+        return _read_only([d.kind == INTEGER for d in self.dims], bool)
 
     def contains(self, coords: Sequence[float]) -> bool:
         x = np.asarray(coords, dtype=float)
@@ -141,7 +149,14 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Deterministic objectives: maps a design point to B values, all minimized."""
+    """Deterministic objectives, all minimized, evaluated many designs at once.
+
+    ``evaluate`` maps an (m, D) array of raw design coordinates to an (m, B)
+    array, one row of B objective values per design; row i must depend on
+    row i of the input alone, so a batch gives the values one-row calls
+    would. Calling the spec accepts one design (D,) and returns (B,), or
+    (m, D) and returns (m, B); any other result shape raises ValueError.
+    """
 
     labels: tuple[str, ...]
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -153,9 +168,20 @@ class ObjectiveSpec:
     def n_objectives(self) -> int:
         return len(self.labels)
 
-    def __call__(self, coords: Sequence[float]) -> np.ndarray:
-        out = np.asarray(self.evaluate(np.asarray(coords, dtype=float)), dtype=float)
-        return out.reshape(-1)
+    def __call__(self, coords: Sequence[float] | np.ndarray) -> np.ndarray:
+        x = np.asarray(coords, dtype=float)
+        if x.ndim not in (1, 2):
+            raise ValueError(f"objectives take one design (D,) or rows (m, D), "
+                             f"got shape {x.shape}")
+        rows = x.reshape(-1, x.shape[-1])
+        want = (len(rows), self.n_objectives)
+        if not len(rows):
+            return np.empty(want)
+        out = np.asarray(self.evaluate(rows), dtype=float)
+        if out.shape != want:
+            raise ValueError(f"objective evaluator returned shape {out.shape} "
+                             f"for {len(rows)} row(s); expected {want}")
+        return out[0] if x.ndim == 1 else out
 
 
 def clamped_rate(estimate: float, n_samples: int) -> float:

@@ -233,11 +233,16 @@ def recompute_feasible_set(state: RunState) -> ApproximationSet:
     for con in problem.constraints:
         mean, var = gp_predict_many(state.models[con.label], unit)
         feasible &= feasibility_quantile(mean, var, con.confidence) <= 0.0
-    members = [
-        (p, tuple(problem.objectives(p.array)))
-        for p, ok in zip(points, feasible) if ok
-    ]
-    return ApproximationSet(tuple(pareto_filter(members)), problem.reference_point)
+    kept = [p for p, ok in zip(points, feasible) if ok]
+    return ApproximationSet(tuple(pareto_filter(_with_objectives(problem, kept))),
+                            problem.reference_point)
+
+
+def _with_objectives(problem: Problem, points: Sequence[DesignPoint]):
+    """(point, objective values) pairs, the objectives in one call."""
+    coords = np.array([p.coords for p in points], dtype=float)
+    values = problem.objectives(coords.reshape(len(points), problem.space.ndim))
+    return list(zip(points, values.tolist()))
 
 
 def _diagnose(state: RunState, point: DesignPoint,
@@ -444,8 +449,9 @@ def fixed_design_search(
                 ok = False
                 break
         if ok:
-            survivors.append((point, tuple(problem.objectives(point.array))))
-    aset = ApproximationSet(tuple(pareto_filter(survivors)), problem.reference_point)
+            survivors.append(point)
+    aset = ApproximationSet(tuple(pareto_filter(_with_objectives(problem, survivors))),
+                            problem.reference_point)
     return aset, state.records
 
 

@@ -10,11 +10,18 @@ dominates or equals comes after it and is skipped without any arithmetic:
 the other rows get the same products, in the same order, as on the filtered
 set. 3-D rows are masked first, because a dominated row's level would split
 a slice in two and change the rounding of the sum.
+
+The sweep runs for a whole batch of candidates at once: each candidate's
+staircase is one row of an array, and its products are added column by
+column, left to right, as the one-candidate loop adds them. ``sum`` or
+``np.add.reduce`` along the row would add them pairwise, which rounds
+differently once a staircase has more than a few steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +74,23 @@ class ApproximationSet:
             return np.empty((0, len(self.reference)))
         return np.array([obj for _, obj in self.members], dtype=float)
 
+    @cached_property
+    def _front(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reference point, and the members strictly inside its box in
+        lexicographic order (in 3-D only the mutually nondominated ones).
+        Built once per set; both arrays are read-only."""
+        ref = np.array(self.reference, dtype=float)
+        if not 1 <= ref.size <= MAX_OBJECTIVES:
+            raise UnsupportedDimensionError(
+                f"hypervolume supports 1..{MAX_OBJECTIVES} objectives, got {ref.size}")
+        rows = self.objective_rows
+        rows = rows[(rows < ref).all(axis=1)]
+        if ref.size == 3:
+            rows = rows[nondominated_mask(rows)]
+        rows = rows[np.lexsort(rows.T[::-1])]
+        ref.flags.writeable = rows.flags.writeable = False
+        return ref, rows
+
 
 def pareto_filter(
     points: Sequence[tuple[DesignPoint, Sequence[float]]],
@@ -83,47 +107,30 @@ def pareto_filter(
     return sorted((e for e, k in zip(entries, keep) if k), key=lambda m: m[1][0])
 
 
-def _front(aset: ApproximationSet) -> tuple[np.ndarray, np.ndarray]:
-    """The reference point, and the members strictly inside its box in
-    lexicographic order (in 3-D only the mutually nondominated ones)."""
-    ref = np.asarray(aset.reference, dtype=float)
-    if not 1 <= ref.size <= MAX_OBJECTIVES:
-        raise UnsupportedDimensionError(
-            f"hypervolume supports 1..{MAX_OBJECTIVES} objectives, got {ref.size}")
-    rows = aset.objective_rows
-    rows = rows[(rows < ref).all(axis=1)]
-    if ref.size == 3:
-        rows = rows[nondominated_mask(rows)]
-    return ref, rows[np.lexsort(rows.T[::-1])]
-
-
 def _sweep(rows: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Staircase area of lexicographically sorted rows (first two columns)
     with each candidate merged in at its place, for all candidates at once:
     each total gets the one-candidate sweep's products in the same order. A
     +inf candidate is never merged and yields the area of ``rows`` alone."""
-    r1, r2 = float(ref[0]), float(ref[1])
-    c1, c2 = cand[:, 0], cand[:, 1]
-    total, prev = np.zeros(len(cand)), np.full(len(cand), r2)
-    slot = ((rows[:, None, 0] < c1)
-            | ((rows[:, None, 0] == c1) & (rows[:, None, 1] < c2))).sum(axis=0)
-    merged_here = np.bincount(slot, minlength=len(rows) + 1).tolist()
-    steps = rows[:, :2].tolist()
-    for i in range(len(steps) + 1):
-        if merged_here[i]:
-            take = (slot == i) & (c2 < prev)
-            np.add(total, (r1 - c1) * (prev - c2), out=total, where=take)
-            np.copyto(prev, c2, where=take)
-        if i < len(steps):
-            f1, f2 = steps[i]
-            take = f2 < prev
-            np.add(total, (r1 - f1) * (prev - f2), out=total, where=take)
-            np.copyto(prev, f2, where=take)
-    return total
+    r1, r2 = ref[0], ref[1]
+    k, c1, c2 = len(rows), cand[:, :1], cand[:, 1:2]
+    # each candidate's staircase, (m, k + 1): the rows before its slot, the
+    # candidate, then the rest (index k of the padded rows is never taken)
+    slot = ((rows[:, 0] < c1) | ((rows[:, 0] == c1) & (rows[:, 1] < c2))).sum(
+        axis=1, keepdims=True)
+    pos = np.arange(k + 1)
+    src, here = pos - (pos > slot), pos == slot
+    f1 = np.where(here, c1, np.append(rows[:, 0], r1)[src])
+    f2 = np.where(here, c2, np.append(rows[:, 1], r2)[src])
+    # the lowest step so far, seeded with r2; a step adds area only below it
+    prev = np.fmin.accumulate(np.hstack([np.full_like(c2, r2), f2[:, :-1]]), axis=1)
+    terms = np.where(f2 < prev, (r1 - f1) * (prev - f2), 0.0)
+    # in order, left to right: a pairwise sum would round differently
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _volume(front: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Volume of a ``_front`` with each in-box candidate that no front row
+    """Volume of a set's ``_front`` with each in-box candidate that no front row
     dominates or equals merged in; a +inf row gives the front's own volume.
     In 3-D it sums, in ascending order, one slice per level of the candidate
     and of the rows it does not dominate: the sweep of the rows at or below."""
@@ -150,7 +157,7 @@ def _volume(front: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def hypervolume(aset: ApproximationSet) -> float:
     """Exact volume dominated by the set's members, bounded by the reference."""
-    ref, front = _front(aset)
+    ref, front = aset._front
     return float(_volume(front, np.full((1, ref.size), np.inf), ref)[0])
 
 
@@ -160,13 +167,13 @@ def hypervolume_improvement(aset: ApproximationSet, candidate: Sequence[float]) 
 
 
 class HviCalculator:
-    """Hypervolume improvements over a fixed set, whose front is computed
-    once. One objective row gives a float; an (m, B) array gives m values,
-    each bit-identical to the one-row result."""
+    """Hypervolume improvements over a fixed set, on the set's cached front.
+    One objective row gives a float; an (m, B) array gives m values, each
+    bit-identical to the one-row result."""
 
     def __init__(self, aset: ApproximationSet):
         self.aset = aset
-        self.ref, self._front = _front(aset)
+        self.ref, self._front = aset._front
         self.n_obj = self.ref.size
 
     def __call__(self, candidates) -> float | np.ndarray:

@@ -29,6 +29,10 @@ from .domain import DesignPoint, DesignSpace, Hypothesis
 from .montecarlo import TrialSimulator
 
 Params = Mapping[str, float]
+# design parameter name -> one value per design; a formula returns one column
+# per objective label
+Columns = Mapping[str, np.ndarray]
+Formula = Callable[[Columns], Sequence[np.ndarray]]
 
 
 class UnknownScenarioError(ValueError):
@@ -149,7 +153,11 @@ class Scenario:
 
     ``simulate`` and ``rejection_rate`` receive design parameters and
     hypothesis parameters as name->value mappings. ``objective_formulas``
-    maps formula ids to (labels, fn) pairs usable from configs.
+    maps formula ids to (labels, fn) pairs usable from configs; ``fn``
+    receives a name->column mapping, one array of m designs' values per
+    design parameter, and returns one column per label. Formulas must be
+    elementwise (each design's objectives from its own values only), so a
+    column gives exactly the values a one-design call would.
     """
 
     name: str
@@ -158,7 +166,7 @@ class Scenario:
     hypothesis_params: tuple[str, ...]
     simulate: Callable[[Params, Params, np.random.Generator], bool]
     rejection_rate: Callable[[Params, Params], float]
-    objective_formulas: Mapping[str, tuple[tuple[str, ...], Callable[[Params], Sequence[float]]]] = field(
+    objective_formulas: Mapping[str, tuple[tuple[str, ...], Formula]] = field(
         default_factory=dict
     )
 
@@ -420,14 +428,14 @@ def _pilot_either_oracle(x: Params, hp: Params) -> float:
 # registry
 # ---------------------------------------------------------------------------
 
-def _providers(x: Params) -> float:
-    return float(x["k"]) + float(x.get("j", 2 * x["k"]))
+def _providers(x: Columns) -> np.ndarray:
+    return x["k"] + x.get("j", 2 * x["k"])
 
 
 _CLUSTER_OBJECTIVES = {
     "participants_providers": (
         ("participants", "providers"),
-        lambda x: (2.0 * float(x["n"]), _providers(x)),
+        lambda x: (2.0 * x["n"], _providers(x)),
     ),
 }
 
@@ -455,8 +463,8 @@ register_scenario(Scenario(
     simulate=_two_arm_normal_sim,
     rejection_rate=_two_arm_normal_oracle,
     objective_formulas={
-        "per_arm_n": (("per_arm_n",), lambda x: (float(x["n"]),)),
-        "total_n": (("total_n",), lambda x: (2.0 * float(x["n"]),)),
+        "per_arm_n": (("per_arm_n",), lambda x: (x["n"],)),
+        "total_n": (("total_n",), lambda x: (2.0 * x["n"],)),
     },
 ))
 
@@ -468,8 +476,8 @@ register_scenario(Scenario(
     simulate=_two_arm_binary_sim,
     rejection_rate=_two_arm_binary_oracle,
     objective_formulas={
-        "per_arm_n": (("per_arm_n",), lambda x: (float(x["n"]),)),
-        "total_n": (("total_n",), lambda x: (2.0 * float(x["n"]),)),
+        "per_arm_n": (("per_arm_n",), lambda x: (x["n"],)),
+        "total_n": (("total_n",), lambda x: (2.0 * x["n"],)),
     },
 ))
 
@@ -505,8 +513,7 @@ register_scenario(Scenario(
     objective_formulas={
         "pilot_objectives": (
             ("participants", "therapists", "doctors"),
-            lambda x: (float(x["n1"]) * (1.0 + float(x["r"])),
-                       float(x["k"]), float(x["j"])),
+            lambda x: (x["n1"] * (1.0 + x["r"]), x["k"], x["j"]),
         ),
     },
 ))

@@ -154,7 +154,7 @@ def _analytic_problem():
     hyp = Hypothesis("alt", {"delta": 0.5, "sigma": 1.0, "alpha": 0.05},
                      event="accept")
     con = Constraint("typeII", "alt", nominal=0.2, confidence=0.9)
-    objectives = ObjectiveSpec(("per_arm_n",), lambda x: np.array([x[0]]))
+    objectives = ObjectiveSpec(("per_arm_n",), lambda X: X[:, :1])
     problem = Problem(space, objectives, (con,), {"alt": hyp}, (200.0,))
     return problem, scenario
 
@@ -193,7 +193,7 @@ def _cluster_problem():
     hyp = Hypothesis("alt", hp, event="accept")
     con = Constraint("typeII", "alt", nominal=0.1, confidence=0.975)
     objectives = ObjectiveSpec(("participants", "providers"),
-                               lambda x: np.array([2.0 * x[0], 3.0 * x[1]]))
+                               lambda X: np.column_stack([2.0 * X[:, 0], 3.0 * X[:, 1]]))
     problem = Problem(space, objectives, (con,), {"alt": hyp}, (1100.0, 95.0))
     return problem, scenario, hp
 

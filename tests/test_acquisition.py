@@ -96,7 +96,7 @@ def _single_constraint_setup(target, noise, nominal=0.5, confidence=0.9):
 
 def test_expected_improvement_zero_when_dominated():
     space, con, models = _single_constraint_setup(-0.2, 0.01)
-    objectives = ObjectiveSpec(("f",), lambda x: np.array([x[0]]))
+    objectives = ObjectiveSpec(("f",), lambda X: X[:, :1])
     current = ApproximationSet(
         ((DesignPoint((0.1,)), (0.1,)),), (1.0,)
     )
@@ -119,7 +119,7 @@ def test_expected_improvement_composes_verified_factors():
     space, con, models = _single_constraint_setup(-shift, 0.01, nominal=0.5,
                                                   confidence=0.9)
 
-    objectives = ObjectiveSpec(("f1", "f2"), lambda x: np.array([982.0, 10.0]))
+    objectives = ObjectiveSpec(("f1", "f2"), lambda X: np.tile([982.0, 10.0], (len(X), 1)))
     current = ApproximationSet((), (1200.0, 30.0))
     ei = expected_improvement([0.5], models, [con], current, objectives, 100, space)
     assert ei == pytest.approx(4360.0 * 0.5, rel=2e-2)
@@ -128,7 +128,7 @@ def test_expected_improvement_composes_verified_factors():
 def test_expected_improvement_vanishes_at_deep_infeasibility():
     space, con, models = _single_constraint_setup(0.9, 1e-6, nominal=0.05,
                                                   confidence=0.9)
-    objectives = ObjectiveSpec(("f",), lambda x: np.array([x[0]]))
+    objectives = ObjectiveSpec(("f",), lambda X: X[:, :1])
     current = ApproximationSet((), (1.0,))
     ei = expected_improvement([0.5], models, [con], current, objectives, 100, space)
     improvement = hypervolume_improvement(current, [0.5])
@@ -138,7 +138,7 @@ def test_expected_improvement_vanishes_at_deep_infeasibility():
 def test_expected_improvement_nonnegative_everywhere():
     rng = np.random.default_rng(10)
     space, con, models = _single_constraint_setup(-0.05, 0.02)
-    objectives = ObjectiveSpec(("f",), lambda x: np.array([x[0]]))
+    objectives = ObjectiveSpec(("f",), lambda X: X[:, :1])
     current = ApproximationSet(((DesignPoint((0.6,)), (0.6,)),), (1.0,))
     for _ in range(50):
         x = rng.random()

@@ -8,6 +8,7 @@ import pytest
 
 from trialopt.cli import (
     ConfigError,
+    budget_from_config,
     build_problem,
     canonical_dumps,
     cmd_baseline,
@@ -15,6 +16,7 @@ from trialopt.cli import (
     main,
     normalize_config,
 )
+from trialopt.engine import BudgetConfig
 from trialopt.simlib import get_scenario
 
 
@@ -95,6 +97,33 @@ def test_malformed_value_exits_2_before_writing(tmp_path, capsys, section, key, 
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert f"config error: {section}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("budget", "iterations", 2.7),
+    ("budget", "n_per_eval", 30.9),
+    ("pso", "swarm_size", 16.5),
+    ("pso", "iterations", 2.5),
+    (None, "seed", 7.5),
+])
+def test_fractional_count_exits_2_before_writing(tmp_path, capsys, section, key, value):
+    bad = analytic_config()
+    (bad[section] if section else bad)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"config error: {section or key}: {key} must be a whole number, got {value}" in err
+
+
+def test_whole_float_counts_are_kept_as_given():
+    cfg = normalize_config(analytic_config(
+        budget={"initial_points": 6.0, "n_per_eval": 30.0, "iterations": 3.0}))
+    assert cfg["budget"]["iterations"] == 3.0
+    assert budget_from_config(cfg) == BudgetConfig(iterations=3, n_per_eval=30,
+                                                   initial_points=6)
 
 
 def test_malformed_command_line_budget_exits_2_before_writing(tmp_path, capsys):

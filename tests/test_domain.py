@@ -25,7 +25,7 @@ def two_dim_space():
 
 def simple_objectives():
     return ObjectiveSpec(("participants", "providers"),
-                         lambda x: np.array([2.0 * x[0], 3.0 * x[1]]))
+                         lambda X: np.column_stack([2.0 * X[:, 0], 3.0 * X[:, 1]]))
 
 
 def test_validate_well_formed_problem_is_clean():

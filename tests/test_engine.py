@@ -39,7 +39,7 @@ def analytic_problem(n_hi=200.0, nominal=0.2, confidence=0.9, ref=200.0):
     hyp = Hypothesis("alt", {"delta": 0.5, "sigma": 1.0, "alpha": 0.05},
                      event="accept")
     con = Constraint("typeII", "alt", nominal=nominal, confidence=confidence)
-    objectives = ObjectiveSpec(("per_arm_n",), lambda x: np.array([x[0]]))
+    objectives = ObjectiveSpec(("per_arm_n",), lambda X: X[:, :1])
     problem = Problem(space, objectives, (con,), {"alt": hyp}, (ref,))
     sim = get_scenario("two_arm_normal").simulator(space)
     return problem, sim

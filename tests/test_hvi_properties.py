@@ -1,7 +1,9 @@
 """Property tests: the Pareto filter and nondominated mask against the
-pairwise definition, hypervolume against a count of unit cells, batch
-hypervolume improvement against a plain Python sweep, and the normal
-CDF/quantile forms against ``scipy.stats.norm``; the last two bit for bit."""
+pairwise definition, hypervolume against a count of unit cells, the batch
+staircase sweep and batch hypervolume improvement against plain Python
+sweeps, and the normal CDF/quantile forms against ``scipy.stats.norm``; the
+last three bit for bit. Also: cached fronts and design-space arrays are
+read-only."""
 
 import itertools
 
@@ -18,10 +20,11 @@ from trialopt.acquisition import (  # noqa: E402
     prob_feasible_after,
     quantile_update,
 )
-from trialopt.domain import DesignPoint  # noqa: E402
+from trialopt.domain import DesignPoint, DesignSpace, Dimension  # noqa: E402
 from trialopt.pareto import (  # noqa: E402
     ApproximationSet,
     HviCalculator,
+    _sweep,
     hypervolume,
     nondominated_mask,
     pareto_filter,
@@ -183,6 +186,83 @@ def test_batch_hvi_of_non_finite_candidates_matches_sweep():
     got = HviCalculator(aset)(cands)
     for row, value in zip(cands, got):
         assert same_bits(value, ref_hvi(aset, row))
+
+
+def loop_sweep(rows, cand, ref):
+    """Staircase area of sorted 2-D rows with one candidate merged in after
+    the rows lexicographically below it, one step at a time."""
+    c = tuple(cand)
+    steps = [r for r in rows if r < c] + [c] + [r for r in rows if not r < c]
+    total, prev = 0.0, ref[1]
+    for f1, f2 in steps:
+        if f2 < prev:
+            total += (ref[0] - f1) * (prev - f2)
+            prev = f2
+    return total
+
+
+@st.composite
+def sweep_cases(draw):
+    """Sorted in-box rows (possibly none, dominated or repeated), on a grid
+    of thirds or real-valued, and in-box candidates that include members,
+    points tied with a member in one coordinate, and +inf rows."""
+    ref = (draw(st.integers(9, 24)) / 3, draw(st.integers(9, 24)) / 3)
+    grid = st.integers(0, 8).map(lambda v: v / 3)
+    real = st.floats(0.0, 2.999, allow_nan=False)
+    value = st.one_of(grid, real)
+    rows = sorted(draw(st.lists(st.tuples(value, value), max_size=10)))
+    kinds = [st.tuples(value, value), st.just((np.inf, np.inf))]
+    if rows:
+        member = st.sampled_from(rows)
+        kinds += [member,
+                  st.tuples(member, value).map(lambda mv: (mv[0][0], mv[1])),
+                  st.tuples(member, value).map(lambda mv: (mv[1], mv[0][1]))]
+    cands = draw(st.lists(st.one_of(*kinds), min_size=1, max_size=12))
+    return rows, cands, ref
+
+
+@given(sweep_cases())
+def test_batch_sweep_matches_loop_sweep(case):
+    rows, cands, ref = case
+    got = _sweep(np.array(rows, dtype=float).reshape(-1, 2),
+                 np.array(cands, dtype=float), np.array(ref))
+    assert got.shape == (len(cands),)
+    for c, value in zip(cands, got):
+        assert same_bits(value, loop_sweep(rows, c, ref))
+
+
+def test_batch_sweep_rounding_fuzz():
+    """Real-valued staircases with 0-20 steps, where adding a row's products
+    in another order (or pairwise) changes the last bits."""
+    rng = np.random.default_rng(5)
+    ref = (10.0, 10.0)
+    for trial in range(200):
+        k = int(rng.integers(0, 21))
+        rows = sorted(map(tuple, rng.uniform(0.0, 10.0, (k, 2)).tolist()))
+        cands = rng.uniform(0.0, 10.0, (30, 2))
+        if rows:
+            cands[::3, 0] = rng.choice([r[0] for r in rows], 10)
+            cands[1::3, 1] = rng.choice([r[1] for r in rows], 10)
+        cands[-1] = np.inf
+        got = _sweep(np.array(rows).reshape(-1, 2), cands, np.array(ref))
+        for c, value in zip(cands, got):
+            assert same_bits(value, loop_sweep(rows, c, ref))
+
+
+def test_cached_front_and_space_arrays_are_read_only():
+    members = ((1.0, 4.0), (2.0, 2.0), (4.0, 1.0))
+    aset = ApproximationSet(tuple((DesignPoint(r), r) for r in members), (5.0, 5.0))
+    ref, front = aset._front
+    assert aset._front[1] is front  # built once
+    assert HviCalculator(aset)._front is front
+    space = DesignSpace((Dimension("n", 10, 200, "integer"), Dimension("r", 0.5, 2.0)))
+    arrays = [ref, front, space.lower, space.upper, space.integer_mask]
+    assert space.lower is space.lower
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert space.snap([33.6, 3.0]).tolist() == [34.0, 2.0]
+    assert front.tolist() == [list(m) for m in members]
 
 
 small_grid_rows = st.integers(1, 3).flatmap(
