@@ -4,7 +4,10 @@ reports.
 
 A run directory contains: config.normalized (the effective config),
 evals.log (append-only, one JSON record per evaluation), pareto.csv,
-trajectory.csv, checkpoint.bin and report.txt.
+trajectory.csv, checkpoint.bin, report.txt and, after ``verify``,
+pareto_verified.csv. While a command works in it the directory also holds
+.lock; every command takes that lock before it writes anything, and a
+command that finds it held exits 2 without changing the directory.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import shutil
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,6 +42,7 @@ from .domain import (
 from .engine import BudgetConfig, CheckpointError, RunAborted, RunState
 from .gp import gp_predict_many
 from .montecarlo import mc_estimate
+from .pareto import hypervolume
 from .simlib import Scenario, UnknownScenarioError, get_scenario
 
 logger = logging.getLogger("trialopt.cli")
@@ -480,43 +485,70 @@ def _apply_overrides(raw: Mapping, seed=None, iterations=None, n_per_eval=None) 
     return raw
 
 
+@contextmanager
+def _run_directory(out: Path, cfg: Mapping, history: Path | None = None):
+    """Hold ``out`` for one command, locked before anything in it is written:
+    carry the evaluation log over from ``history`` when given, write
+    config.normalized and yield the evals.log record writer."""
+    out.mkdir(parents=True, exist_ok=True)
+    with RunLock(out):
+        if history is not None:
+            shutil.copyfile(history, out / LOG_NAME)
+        (out / CONFIG_NAME).write_text(canonical_dumps(cfg) + "\n")
+        handle, write = record_writer(out / LOG_NAME)
+        try:
+            yield write
+        finally:
+            handle.close()
+
+
+def _optimize(out: Path, cfg: Mapping, step, history: Path | None = None) -> int:
+    """Run ``step(record_callback)``, which calls ``engine.run`` or
+    ``engine.resume_run``, in the run directory ``out``, then write the
+    checkpoint, stamped with the config hash, and every output.
+
+    An aborted step still leaves a resumable checkpoint of the state it
+    reached, and returns 1.
+    """
+    cfg_hash = config_hash(cfg)
+    checkpoint = out / CHECKPOINT_NAME
+    with _run_directory(out, cfg, history) as write:
+        t0 = time.perf_counter()
+        try:
+            state = step(write)
+        except RunAborted as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            try:
+                engine.save_checkpoint(exc.state, checkpoint, config_hash=cfg_hash)
+            except OSError as err:
+                print(f"error: could not write checkpoint {checkpoint}: {err}",
+                      file=sys.stderr)
+            else:
+                print(f"resumable checkpoint: {checkpoint}", file=sys.stderr)
+            return 1
+        elapsed = time.perf_counter() - t0
+        engine.save_checkpoint(state, checkpoint, config_hash=cfg_hash)
+        write_pareto_csv(out / PARETO_NAME, state.problem, state)
+        write_trajectory_csv(out / TRAJECTORY_NAME, state.trajectory)
+        write_report(out / REPORT_NAME, state.problem, state, elapsed, cfg_hash)
+    return 0
+
+
 def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
-            n_per_eval=None, workers: int = 1) -> int:
+            n_per_eval=None) -> int:
     cfg = normalize_config(_apply_overrides(load_config(config_path),
                                             seed, iterations, n_per_eval))
     problem, simulators, _ = build_problem(cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if (out / CHECKPOINT_NAME).exists():
         raise ConfigError(
             [f"{out / CHECKPOINT_NAME} already exists; use 'resume' or a fresh "
              "directory"]
         )
-    cfg_hash = config_hash(cfg)
-    with RunLock(out):
-        (out / CONFIG_NAME).write_text(canonical_dumps(cfg) + "\n")
-        handle, write = record_writer(out / LOG_NAME)
-        t0 = time.perf_counter()
-        try:
-            state = engine.run(
-                problem, simulators, budget_from_config(cfg),
-                pso=pso_from_config(cfg), seed=cfg["seed"], workers=workers,
-                record_callback=write,
-                abort_checkpoint=out / CHECKPOINT_NAME,
-            )
-        except RunAborted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            if exc.checkpoint_path:
-                print(f"resumable checkpoint: {exc.checkpoint_path}", file=sys.stderr)
-            return 1
-        finally:
-            handle.close()
-        elapsed = time.perf_counter() - t0
-        engine.save_checkpoint(state, out / CHECKPOINT_NAME, config_hash=cfg_hash)
-        write_pareto_csv(out / PARETO_NAME, problem, state)
-        write_trajectory_csv(out / TRAJECTORY_NAME, state.trajectory)
-        write_report(out / REPORT_NAME, problem, state, elapsed, cfg_hash)
-    return 0
+    return _optimize(out, cfg, lambda write: engine.run(
+        problem, simulators, budget_from_config(cfg), pso=pso_from_config(cfg),
+        seed=cfg["seed"], record_callback=write,
+    ))
 
 
 def _parse_nominals(pairs: Sequence[str]) -> dict[str, float]:
@@ -536,14 +568,14 @@ def _parse_nominals(pairs: Sequence[str]) -> dict[str, float]:
     return out
 
 
-def cmd_resume(checkpoint_path: str, iterations: int = 0,
+def cmd_resume(checkpoint: str, iterations: int = 0,
                nominals: Mapping[str, float] | None = None,
-               out_dir: str | None = None, workers: int = 1) -> int:
-    ckpt_path = Path(checkpoint_path)
+               out_dir: str | None = None) -> int:
+    ckpt_path = Path(checkpoint)
     run_dir = ckpt_path.parent
     cfg_path = run_dir / CONFIG_NAME
     if not cfg_path.exists():
-        raise ConfigError([f"no {CONFIG_NAME} found next to {checkpoint_path}"])
+        raise ConfigError([f"no {CONFIG_NAME} found next to {checkpoint}"])
     cfg = normalize_config(json.loads(cfg_path.read_text()))
 
     data = engine.load_checkpoint(ckpt_path)
@@ -568,63 +600,33 @@ def cmd_resume(checkpoint_path: str, iterations: int = 0,
     problem, simulators, _ = build_problem(cfg)
 
     out = Path(out_dir) if out_dir else run_dir
-    out.mkdir(parents=True, exist_ok=True)
-    if out != run_dir:
-        # carry history over so the log stays complete in the new directory
-        shutil.copyfile(run_dir / LOG_NAME, out / LOG_NAME)
-    cfg_hash = config_hash(cfg)
-    with RunLock(out):
-        (out / CONFIG_NAME).write_text(canonical_dumps(cfg) + "\n")
-        handle, write = record_writer(out / LOG_NAME)
-        t0 = time.perf_counter()
-        try:
-            state = engine.resume_run(
-                data, problem, simulators, budget_from_config(cfg),
-                pso=pso_from_config(cfg), iterations=iterations,
-                revised_constraints=problem.constraints if nominals else None,
-                workers=workers, record_callback=write,
-                abort_checkpoint=out / CHECKPOINT_NAME,
-            )
-        except RunAborted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            handle.close()
-        elapsed = time.perf_counter() - t0
-        engine.save_checkpoint(state, out / CHECKPOINT_NAME, config_hash=cfg_hash)
-        write_pareto_csv(out / PARETO_NAME, problem, state)
-        write_trajectory_csv(out / TRAJECTORY_NAME, state.trajectory)
-        write_report(out / REPORT_NAME, problem, state, elapsed, cfg_hash)
-    return 0
+    # a new directory gets the history too, so its log stays complete
+    history = run_dir / LOG_NAME if out != run_dir else None
+    return _optimize(out, cfg, lambda write: engine.resume_run(
+        data, problem, simulators, budget_from_config(cfg),
+        pso=pso_from_config(cfg), iterations=iterations,
+        revised_constraints=problem.constraints if nominals else None,
+        record_callback=write,
+    ), history)
 
 
 def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
-                 n_per_eval=None, confidence: float = 0.975,
-                 workers: int = 1) -> int:
+                 n_per_eval=None, confidence: float = 0.975) -> int:
     cfg = normalize_config(_apply_overrides(load_config(config_path),
                                             seed, None, n_per_eval))
     problem, simulators, _ = build_problem(cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg_hash = config_hash(cfg)
-    with RunLock(out):
-        (out / CONFIG_NAME).write_text(canonical_dumps(cfg) + "\n")
-        handle, write = record_writer(out / LOG_NAME)
-        try:
-            aset, records = engine.fixed_design_search(
-                problem, simulators, count=count,
-                n_samples=int(cfg["budget"]["n_per_eval"]),
-                confidence=confidence, seed=cfg["seed"], workers=workers,
-                record_callback=write,
-            )
-        finally:
-            handle.close()
-        from .pareto import hypervolume
+    with _run_directory(out, cfg) as write:
+        aset, records = engine.fixed_design_search(
+            problem, simulators, count=count,
+            n_samples=int(cfg["budget"]["n_per_eval"]),
+            confidence=confidence, seed=cfg["seed"], record_callback=write,
+        )
         hv = hypervolume(aset)
         write_baseline_csv(out / PARETO_NAME, problem, aset, records)
         lines = [
             "trialopt baseline report",
-            f"config hash: {cfg_hash}",
+            f"config hash: {config_hash(cfg)}",
             f"points evaluated: {count}",
             f"samples per evaluation: {cfg['budget']['n_per_eval']}",
             f"confidence bound level: {confidence}",
@@ -635,42 +637,41 @@ def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
     return 0
 
 
-def cmd_verify(run_dir: str, n_verify: int = 100000, workers: int = 1) -> int:
+def cmd_verify(run_dir: str, n_verify: int = 100000) -> int:
     run = Path(run_dir)
     cfg_path = run / CONFIG_NAME
     if not cfg_path.exists():
         raise ConfigError([f"no {CONFIG_NAME} in {run_dir}"])
     cfg = normalize_config(json.loads(cfg_path.read_text()))
     problem, simulators, _ = build_problem(cfg)
-    data = engine.load_checkpoint(run / CHECKPOINT_NAME)
-    state = engine.resume_run(data, problem, simulators,
-                              budget_from_config(cfg), pso=pso_from_config(cfg),
-                              iterations=0)
+    with RunLock(run):
+        data = engine.load_checkpoint(run / CHECKPOINT_NAME)
+        state = engine.resume_run(data, problem, simulators,
+                                  budget_from_config(cfg), pso=pso_from_config(cfg),
+                                  iterations=0)
 
-    wrapped = engine._normalize_simulators(problem, simulators)
-    header = list(problem.space.names) + list(problem.objectives.labels)
-    for con in problem.constraints:
-        header += [f"verified[{con.label}]", f"ci_low[{con.label}]",
-                   f"ci_high[{con.label}]"]
-    rows = []
-    index = 0
-    for point, objs in state.approx_set.members:
-        row = list(point.coords) + list(objs)
+        header = list(problem.space.names) + list(problem.objectives.labels)
         for con in problem.constraints:
-            est = mc_estimate(
-                wrapped[con.hypothesis], point,
-                problem.hypotheses[con.hypothesis], n_verify,
-                seed=engine.verify_seed(data.master_seed, index),
-                workers=workers,
-            )
-            index += 1
-            half = 1.96 * np.sqrt(est.variance)
-            row += [est.mean, est.mean - half, est.mean + half]
-        rows.append(row)
-    with open(run / VERIFIED_NAME, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+            header += [f"verified[{con.label}]", f"ci_low[{con.label}]",
+                       f"ci_high[{con.label}]"]
+        rows = []
+        index = 0
+        for point, objs in state.approx_set.members:
+            row = list(point.coords) + list(objs)
+            for con in problem.constraints:
+                est = mc_estimate(
+                    simulators[con.hypothesis], point,
+                    problem.hypotheses[con.hypothesis], n_verify,
+                    seed=engine.verify_seed(data.master_seed, index),
+                )
+                index += 1
+                half = 1.96 * np.sqrt(est.variance)
+                row += [est.mean, est.mean - half, est.mean + half]
+            rows.append(row)
+        with open(run / VERIFIED_NAME, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     return 0
 
 
@@ -692,7 +693,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--iterations", type=int)
     p_run.add_argument("--n-per-eval", type=int)
-    p_run.add_argument("--workers", type=int, default=1)
 
     p_res = sub.add_parser("resume", help="continue from a checkpoint")
     p_res.add_argument("checkpoint")
@@ -701,7 +701,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--nominal", action="append", default=[],
                        metavar="LABEL=VALUE", help="revise a constraint bound")
     p_res.add_argument("--out", help="write outputs to a different directory")
-    p_res.add_argument("--workers", type=int, default=1)
 
     p_base = sub.add_parser("baseline", help="fixed-design comparator search")
     p_base.add_argument("config")
@@ -712,13 +711,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--n-per-eval", type=int)
     p_base.add_argument("--confidence", type=float, default=0.975,
                         help="one-sided level of the discard bound")
-    p_base.add_argument("--workers", type=int, default=1)
 
     p_ver = sub.add_parser("verify", help="re-estimate the approximation set "
                                           "with a large sample budget")
     p_ver.add_argument("run_dir")
     p_ver.add_argument("--n-verify", type=int, default=100000)
-    p_ver.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -730,18 +727,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args.config, args.out, seed=args.seed,
                            iterations=args.iterations,
-                           n_per_eval=args.n_per_eval, workers=args.workers)
+                           n_per_eval=args.n_per_eval)
         if args.command == "resume":
             return cmd_resume(args.checkpoint, iterations=args.iterations,
                               nominals=_parse_nominals(args.nominal),
-                              out_dir=args.out, workers=args.workers)
+                              out_dir=args.out)
         if args.command == "baseline":
             return cmd_baseline(args.config, args.out, seed=args.seed,
                                 count=args.count, n_per_eval=args.n_per_eval,
-                                confidence=args.confidence, workers=args.workers)
+                                confidence=args.confidence)
         if args.command == "verify":
-            return cmd_verify(args.run_dir, n_verify=args.n_verify,
-                              workers=args.workers)
+            return cmd_verify(args.run_dir, n_verify=args.n_verify)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

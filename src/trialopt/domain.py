@@ -110,9 +110,6 @@ class DesignPoint:
     def array(self) -> np.ndarray:
         return np.array(self.coords, dtype=float)
 
-    def named(self, space: DesignSpace) -> dict[str, float]:
-        return dict(zip(space.names, self.coords))
-
 
 @dataclass(frozen=True)
 class Hypothesis:

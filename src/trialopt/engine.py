@@ -20,7 +20,6 @@ from .acquisition import (
     pso_maximize,
 )
 from .domain import (
-    EVENT_ACCEPT,
     Constraint,
     DesignPoint,
     EvaluationRecord,
@@ -66,11 +65,11 @@ _DIAGNOSTIC_Z = 4.0
 
 
 class RunAborted(RuntimeError):
-    """A run stopped early; state was checkpointed if a path was configured."""
+    """A run stopped early; carries the state reached, for checkpointing."""
 
-    def __init__(self, message: str, checkpoint_path: str | None = None):
+    def __init__(self, message: str, state: RunState):
         super().__init__(message)
-        self.checkpoint_path = checkpoint_path
+        self.state = state
 
 
 class CheckpointError(RuntimeError):
@@ -124,25 +123,14 @@ class RunState:
 def _normalize_simulators(
     problem: Problem,
     simulators: TrialSimulator | Mapping[str, TrialSimulator],
-) -> dict[str, TrialSimulator]:
-    """One simulator per constrained hypothesis, with the hypothesis' tallied
-    event applied (an "accept" hypothesis counts non-rejections)."""
+) -> Mapping[str, TrialSimulator]:
+    """One simulator per constrained hypothesis."""
     if callable(simulators):
-        base = {name: simulators for name in problem.constrained_hypotheses}
-    else:
-        base = dict(simulators)
-    out: dict[str, TrialSimulator] = {}
+        return {name: simulators for name in problem.constrained_hypotheses}
     for name in problem.constrained_hypotheses:
-        if name not in base:
+        if name not in simulators:
             raise ValueError(f"no simulator supplied for hypothesis {name!r}")
-        sim = base[name]
-        if problem.hypotheses[name].event == EVENT_ACCEPT:
-            def flipped(point, hyp, rng, _sim=sim):
-                return not _sim(point, hyp, rng)
-            out[name] = flipped
-        else:
-            out[name] = sim
-    return out
+    return simulators
 
 
 def initial_design(problem: Problem, count: int) -> list[DesignPoint]:
@@ -161,13 +149,12 @@ def _evaluate(
     point: DesignPoint,
     hyp_name: str,
     iteration: int,
-    workers: int,
     callback: RecordCallback | None,
 ) -> EvaluationRecord:
     eval_seed = derive_replicate_seed(state.master_seed, state.eval_counter, 0)
     est = mc_estimate(
         sims[hyp_name], point, state.problem.hypotheses[hyp_name],
-        state.budget.n_per_eval, seed=eval_seed, workers=workers,
+        state.budget.n_per_eval, seed=eval_seed,
     )
     record = EvaluationRecord(
         point=point, hypothesis=hyp_name, n_samples=est.n_samples,
@@ -270,7 +257,6 @@ def _iterate(
     state: RunState,
     sims: Mapping[str, TrialSimulator],
     iterations: int,
-    workers: int,
     callback: RecordCallback | None,
 ) -> None:
     problem = state.problem
@@ -301,7 +287,7 @@ def _iterate(
             predictions[con.label] = (float(mean[0]), float(var[0]))
 
         for name in hyp_names:
-            _evaluate(state, sims, point, name, it, workers, callback)
+            _evaluate(state, sims, point, name, it, callback)
         state.iteration = it
         _diagnose(state, point, predictions)
         _update_models(state, refit=True)
@@ -314,15 +300,12 @@ def run(
     budget: BudgetConfig,
     pso: PsoConfig | None = None,
     seed: int = 0,
-    workers: int = 1,
     record_callback: RecordCallback | None = None,
-    abort_checkpoint: str | Path | None = None,
 ) -> RunState:
     """Execute the full loop: initial design, then fit/acquire/evaluate cycles.
 
-    Deterministic given the seed regardless of worker count. On a GP
-    conditioning failure or simulator error the state is checkpointed to
-    ``abort_checkpoint`` (when given) and RunAborted is raised.
+    Deterministic given the seed. On a GP conditioning failure or simulator
+    error RunAborted is raised, carrying the state reached.
     """
     report = problem.validate()
     if not report.ok:
@@ -337,26 +320,13 @@ def run(
         count = budget.resolve_initial_points(problem.space.ndim)
         for point in initial_design(problem, count):
             for name in problem.constrained_hypotheses:
-                _evaluate(state, sims, point, name, 0, workers, record_callback)
+                _evaluate(state, sims, point, name, 0, record_callback)
         _update_models(state, refit=True)
         state.trajectory.append(hypervolume(state.approx_set))
-        _iterate(state, sims, budget.iterations, workers, record_callback)
+        _iterate(state, sims, budget.iterations, record_callback)
     except (GpConditioningError, SimulationError) as exc:
-        path = _abort(state, exc, abort_checkpoint)
-        raise RunAborted(f"run aborted: {exc}", checkpoint_path=path) from exc
+        raise RunAborted(f"run aborted: {exc}", state) from exc
     return state
-
-
-def _abort(state: RunState, exc: Exception, path: str | Path | None) -> str | None:
-    if path is None:
-        return None
-    try:
-        save_checkpoint(state, path)
-        logger.error("run aborted (%s); checkpoint written to %s", exc, path)
-        return str(path)
-    except OSError:
-        logger.exception("failed to write abort checkpoint")
-        return None
 
 
 def resume_run(
@@ -367,9 +337,7 @@ def resume_run(
     pso: PsoConfig | None = None,
     iterations: int = 0,
     revised_constraints: Sequence[Constraint] | None = None,
-    workers: int = 1,
     record_callback: RecordCallback | None = None,
-    abort_checkpoint: str | Path | None = None,
 ) -> RunState:
     """Rebuild state from a checkpoint and continue for ``iterations`` more.
 
@@ -397,10 +365,9 @@ def resume_run(
     try:
         _update_models(state, refit=False)
         sims = _normalize_simulators(problem, simulators)
-        _iterate(state, sims, iterations, workers, record_callback)
+        _iterate(state, sims, iterations, record_callback)
     except (GpConditioningError, SimulationError) as exc:
-        path = _abort(state, exc, abort_checkpoint)
-        raise RunAborted(f"resume aborted: {exc}", checkpoint_path=path) from exc
+        raise RunAborted(f"resume aborted: {exc}", state) from exc
     return state
 
 
@@ -411,7 +378,6 @@ def fixed_design_search(
     n_samples: int,
     confidence: float = 0.975,
     seed: int = 0,
-    workers: int = 1,
     record_callback: RecordCallback | None = None,
 ) -> tuple[ApproximationSet, list[EvaluationRecord]]:
     """One-shot comparator: evaluate a Sobol design once per point and keep
@@ -429,7 +395,7 @@ def fixed_design_search(
     state = RunState(problem=problem, budget=budget, pso=PsoConfig(), master_seed=seed)
     for point in initial_design(problem, count):
         for name in problem.constrained_hypotheses:
-            _evaluate(state, sims, point, name, 0, workers, record_callback)
+            _evaluate(state, sims, point, name, 0, record_callback)
 
     by_point: dict[tuple[float, ...], dict[str, EvaluationRecord]] = {}
     order: list[DesignPoint] = []

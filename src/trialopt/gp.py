@@ -151,10 +151,10 @@ def _factorize(base: np.ndarray, sigma: float):
 def _lml_from_differences(
     diff: np.ndarray, y: np.ndarray, noise_matrix: np.ndarray, sigma: float, ls: np.ndarray
 ) -> float:
-    """Log marginal likelihood from the training differences and Delta."""
+    """Log marginal likelihood from the training differences and Delta; the
+    caller has checked that ``y`` is finite."""
     K = _kernel_from_differences(diff, sigma, ls)
     L, _ = _factorize(K + noise_matrix, sigma)
-    _require_finite(y)
     # potrf succeeded, so L has a positive diagonal and trtrs cannot fail;
     # LAPACK rejects an empty system, whose solution is empty
     z = _trtrs(L, y, lower=True)[0] if y.size else y
@@ -215,6 +215,7 @@ def log_marginal_likelihood(
     y = np.asarray(targets, dtype=float).reshape(-1)
     d = np.asarray(noise_diag, dtype=float).reshape(-1)
     ls = np.asarray(params.lengthscales, dtype=float)
+    _require_finite(y)
     return _lml_from_differences(_differences(X, X), y, np.diag(d), params.sigma, ls)
 
 
@@ -279,6 +280,7 @@ def fit_hyperparameters(
     n, ndim = X.shape
     if n < 2:
         raise ValueError("need at least 2 observations to fit hyperparameters")
+    _require_finite(y)
 
     lb = np.array([_LOG_SIGMA_BOUNDS[0]] + [_LOG_LENGTH_BOUNDS[0]] * ndim)
     ub = np.array([_LOG_SIGMA_BOUNDS[1]] + [_LOG_LENGTH_BOUNDS[1]] * ndim)

