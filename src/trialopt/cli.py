@@ -38,10 +38,11 @@ from .domain import (
     Hypothesis,
     ObjectiveSpec,
     Problem,
+    constraint_problems,
 )
 from .engine import BudgetConfig, CheckpointError, RunAborted, RunState
 from .gp import gp_predict_many
-from .montecarlo import mc_estimate
+from .montecarlo import TrialSimulator, mc_estimate
 from .pareto import hypervolume
 from .simlib import Scenario, UnknownScenarioError, get_scenario
 
@@ -154,7 +155,6 @@ def normalize_config(raw: Mapping) -> dict:
     if not isinstance(cons, list) or not cons:
         problems.append("'constraints' must be a non-empty list")
     else:
-        hyp_names = {h["name"] for h in cfg["hypotheses"]}
         for i, c in enumerate(cons):
             if not isinstance(c, dict) or not {"label", "hypothesis", "nominal"} <= set(c):
                 problems.append(f"constraints[{i}] needs label/hypothesis/nominal")
@@ -164,24 +164,11 @@ def normalize_config(raw: Mapping) -> dict:
                 "nominal": float(c["nominal"]),
                 "confidence": float(c.get("confidence", 0.9)),
             })
-            if entry is None:
-                continue
-            cfg["constraints"].append(entry)
-            if not 0.0 < entry["nominal"] < 1.0:
-                problems.append(
-                    f"constraint {entry['label']!r} nominal {entry['nominal']} "
-                    "outside (0, 1)"
-                )
-            if not 0.5 < entry["confidence"] < 1.0:
-                problems.append(
-                    f"constraint {entry['label']!r} confidence "
-                    f"{entry['confidence']} outside (0.5, 1)"
-                )
-            if entry["hypothesis"] not in hyp_names:
-                problems.append(
-                    f"constraint {entry['label']!r} references unknown "
-                    f"hypothesis {entry['hypothesis']!r}"
-                )
+            if entry is not None:
+                cfg["constraints"].append(entry)
+        problems.extend(constraint_problems(
+            [Constraint(**c) for c in cfg["constraints"]],
+            {h["name"] for h in cfg["hypotheses"]}))
 
     obj = raw.get("objectives")
     if not isinstance(obj, dict):
@@ -243,8 +230,9 @@ def config_hash(cfg: Mapping) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def build_problem(cfg: Mapping) -> tuple[Problem, dict, Scenario]:
-    """Turn a normalized config into domain objects plus per-hypothesis sims.
+def build_problem(cfg: Mapping) -> tuple[Problem, TrialSimulator]:
+    """Turn a normalized config into domain objects plus the scenario's
+    simulator, which serves every hypothesis.
 
     Raises ConfigError listing every structural problem found.
     """
@@ -271,9 +259,7 @@ def build_problem(cfg: Mapping) -> tuple[Problem, dict, Scenario]:
     if problems:
         raise ConfigError(problems)
 
-    sim = scenario.simulator(space)
-    simulators = {name: sim for name in problem.constrained_hypotheses}
-    return problem, simulators, scenario
+    return problem, scenario.simulator(space)
 
 
 def _whole(value, name: str) -> int:
@@ -538,7 +524,7 @@ def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
             n_per_eval=None) -> int:
     cfg = normalize_config(_apply_overrides(load_config(config_path),
                                             seed, iterations, n_per_eval))
-    problem, simulators, _ = build_problem(cfg)
+    problem, sim = build_problem(cfg)
     out = Path(out_dir)
     if (out / CHECKPOINT_NAME).exists():
         raise ConfigError(
@@ -546,7 +532,7 @@ def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
              "directory"]
         )
     return _optimize(out, cfg, lambda write: engine.run(
-        problem, simulators, budget_from_config(cfg), pso=pso_from_config(cfg),
+        problem, sim, budget_from_config(cfg), pso=pso_from_config(cfg),
         seed=cfg["seed"], record_callback=write,
     ))
 
@@ -597,16 +583,14 @@ def cmd_resume(checkpoint: str, iterations: int = 0,
             if c["label"] in nominals:
                 c["nominal"] = nominals[c["label"]]
 
-    problem, simulators, _ = build_problem(cfg)
+    problem, sim = build_problem(cfg)
 
     out = Path(out_dir) if out_dir else run_dir
     # a new directory gets the history too, so its log stays complete
     history = run_dir / LOG_NAME if out != run_dir else None
     return _optimize(out, cfg, lambda write: engine.resume_run(
-        data, problem, simulators, budget_from_config(cfg),
-        pso=pso_from_config(cfg), iterations=iterations,
-        revised_constraints=problem.constraints if nominals else None,
-        record_callback=write,
+        data, problem, sim, budget_from_config(cfg),
+        pso=pso_from_config(cfg), iterations=iterations, record_callback=write,
     ), history)
 
 
@@ -614,11 +598,18 @@ def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
                  n_per_eval=None, confidence: float = 0.975) -> int:
     cfg = normalize_config(_apply_overrides(load_config(config_path),
                                             seed, None, n_per_eval))
-    problem, simulators, _ = build_problem(cfg)
+    problems = []
+    if count < 1:
+        problems.append(f"--count must be >= 1, got {count}")
+    if not 0.0 < confidence < 1.0:
+        problems.append(f"--confidence must be in (0, 1), got {confidence}")
+    if problems:
+        raise ConfigError(problems)
+    problem, sim = build_problem(cfg)
     out = Path(out_dir)
     with _run_directory(out, cfg) as write:
         aset, records = engine.fixed_design_search(
-            problem, simulators, count=count,
+            problem, sim, count=count,
             n_samples=int(cfg["budget"]["n_per_eval"]),
             confidence=confidence, seed=cfg["seed"], record_callback=write,
         )
@@ -642,13 +633,18 @@ def cmd_verify(run_dir: str, n_verify: int = 100000) -> int:
     cfg_path = run / CONFIG_NAME
     if not cfg_path.exists():
         raise ConfigError([f"no {CONFIG_NAME} in {run_dir}"])
+    if n_verify < 1:
+        raise ConfigError([f"--n-verify must be >= 1, got {n_verify}"])
     cfg = normalize_config(json.loads(cfg_path.read_text()))
-    problem, simulators, _ = build_problem(cfg)
+    problem, sim = build_problem(cfg)
     with RunLock(run):
         data = engine.load_checkpoint(run / CHECKPOINT_NAME)
-        state = engine.resume_run(data, problem, simulators,
-                                  budget_from_config(cfg), pso=pso_from_config(cfg),
-                                  iterations=0)
+        try:
+            state = engine.resume_run(data, problem, sim, budget_from_config(cfg),
+                                      pso=pso_from_config(cfg), iterations=0)
+        except RunAborted as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
         header = list(problem.space.names) + list(problem.objectives.labels)
         for con in problem.constraints:
@@ -660,8 +656,7 @@ def cmd_verify(run_dir: str, n_verify: int = 100000) -> int:
             row = list(point.coords) + list(objs)
             for con in problem.constraints:
                 est = mc_estimate(
-                    simulators[con.hypothesis], point,
-                    problem.hypotheses[con.hypothesis], n_verify,
+                    sim, point, problem.hypotheses[con.hypothesis], n_verify,
                     seed=engine.verify_seed(data.master_seed, index),
                 )
                 index += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Container, Mapping, Sequence
 
 import numpy as np
 
@@ -238,6 +238,28 @@ class ValidationReport:
         return self.ok
 
 
+def constraint_problems(constraints: Sequence[Constraint],
+                        hypotheses: Container[str] | None = None) -> list[str]:
+    """Duplicate labels, nominals outside (0, 1), confidences outside (0.5, 1)
+    and, given the hypothesis names, references to unknown hypotheses."""
+    problems: list[str] = []
+    seen_labels: set[str] = set()
+    for con in constraints:
+        if con.label in seen_labels:
+            problems.append(f"duplicate label {con.label!r}")
+        seen_labels.add(con.label)
+        if not 0.0 < con.nominal < 1.0:
+            problems.append(f"constraint {con.label!r} nominal {con.nominal} "
+                            "outside (0, 1)")
+        if not 0.5 < con.confidence < 1.0:
+            problems.append(f"constraint {con.label!r} confidence {con.confidence} "
+                            "outside (0.5, 1)")
+        if hypotheses is not None and con.hypothesis not in hypotheses:
+            problems.append(f"constraint {con.label!r} references unknown "
+                            f"hypothesis {con.hypothesis!r}")
+    return problems
+
+
 def validate_problem(
     space: DesignSpace,
     objectives: ObjectiveSpec,
@@ -273,20 +295,7 @@ def validate_problem(
     if len(set(objectives.labels)) != len(objectives.labels):
         problems.append("duplicate objective label")
 
-    seen_labels: set[str] = set()
-    for con in constraints:
-        if con.label in seen_labels:
-            problems.append(f"duplicate label {con.label!r}")
-        seen_labels.add(con.label)
-        if not 0.0 < con.nominal < 1.0:
-            problems.append(f"constraint {con.label!r} nominal {con.nominal} "
-                            "outside (0, 1)")
-        if not 0.5 < con.confidence < 1.0:
-            problems.append(f"constraint {con.label!r} confidence {con.confidence} "
-                            "outside (0.5, 1)")
-        if hypotheses is not None and con.hypothesis not in hypotheses:
-            problems.append(f"constraint {con.label!r} references unknown "
-                            f"hypothesis {con.hypothesis!r}")
+    problems.extend(constraint_problems(constraints, hypotheses))
 
     if hypotheses is not None:
         for name, hyp in hypotheses.items():

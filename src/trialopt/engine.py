@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -120,17 +120,10 @@ class RunState:
     fit_fallbacks: int = 0
 
 
-def _normalize_simulators(
-    problem: Problem,
-    simulators: TrialSimulator | Mapping[str, TrialSimulator],
-) -> Mapping[str, TrialSimulator]:
-    """One simulator per constrained hypothesis."""
-    if callable(simulators):
-        return {name: simulators for name in problem.constrained_hypotheses}
-    for name in problem.constrained_hypotheses:
-        if name not in simulators:
-            raise ValueError(f"no simulator supplied for hypothesis {name!r}")
-    return simulators
+def _require_valid(problem: Problem) -> None:
+    report = problem.validate()
+    if not report.ok:
+        raise ValueError("invalid problem: " + "; ".join(report.problems))
 
 
 def initial_design(problem: Problem, count: int) -> list[DesignPoint]:
@@ -145,7 +138,7 @@ def initial_design(problem: Problem, count: int) -> list[DesignPoint]:
 
 def _evaluate(
     state: RunState,
-    sims: Mapping[str, TrialSimulator],
+    sim: TrialSimulator,
     point: DesignPoint,
     hyp_name: str,
     iteration: int,
@@ -153,7 +146,7 @@ def _evaluate(
 ) -> EvaluationRecord:
     eval_seed = derive_replicate_seed(state.master_seed, state.eval_counter, 0)
     est = mc_estimate(
-        sims[hyp_name], point, state.problem.hypotheses[hyp_name],
+        sim, point, state.problem.hypotheses[hyp_name],
         state.budget.n_per_eval, seed=eval_seed,
     )
     record = EvaluationRecord(
@@ -255,7 +248,7 @@ def _diagnose(state: RunState, point: DesignPoint,
 
 def _iterate(
     state: RunState,
-    sims: Mapping[str, TrialSimulator],
+    sim: TrialSimulator,
     iterations: int,
     callback: RecordCallback | None,
 ) -> None:
@@ -287,7 +280,7 @@ def _iterate(
             predictions[con.label] = (float(mean[0]), float(var[0]))
 
         for name in hyp_names:
-            _evaluate(state, sims, point, name, it, callback)
+            _evaluate(state, sim, point, name, it, callback)
         state.iteration = it
         _diagnose(state, point, predictions)
         _update_models(state, refit=True)
@@ -296,7 +289,7 @@ def _iterate(
 
 def run(
     problem: Problem,
-    simulators: TrialSimulator | Mapping[str, TrialSimulator],
+    sim: TrialSimulator,
     budget: BudgetConfig,
     pso: PsoConfig | None = None,
     seed: int = 0,
@@ -304,15 +297,14 @@ def run(
 ) -> RunState:
     """Execute the full loop: initial design, then fit/acquire/evaluate cycles.
 
-    Deterministic given the seed. On a GP conditioning failure or simulator
-    error RunAborted is raised, carrying the state reached.
+    ``sim`` serves every constrained hypothesis: it is called with the
+    hypothesis of each evaluation. Deterministic given the seed. On a GP
+    conditioning failure or simulator error RunAborted is raised, carrying
+    the state reached.
     """
-    report = problem.validate()
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.problems))
+    _require_valid(problem)
     if not problem.constraints:
         raise ValueError("at least one constraint is required")
-    sims = _normalize_simulators(problem, simulators)
     state = RunState(
         problem=problem, budget=budget, pso=pso or PsoConfig(), master_seed=seed,
     )
@@ -320,38 +312,37 @@ def run(
         count = budget.resolve_initial_points(problem.space.ndim)
         for point in initial_design(problem, count):
             for name in problem.constrained_hypotheses:
-                _evaluate(state, sims, point, name, 0, record_callback)
+                _evaluate(state, sim, point, name, 0, record_callback)
         _update_models(state, refit=True)
         state.trajectory.append(hypervolume(state.approx_set))
-        _iterate(state, sims, budget.iterations, record_callback)
+        _iterate(state, sim, budget.iterations, record_callback)
     except (GpConditioningError, SimulationError) as exc:
         raise RunAborted(f"run aborted: {exc}", state) from exc
     return state
 
 
 def resume_run(
-    checkpoint: "CheckpointData | str | Path",
+    data: CheckpointData,
     problem: Problem,
-    simulators: TrialSimulator | Mapping[str, TrialSimulator],
+    sim: TrialSimulator,
     budget: BudgetConfig,
     pso: PsoConfig | None = None,
     iterations: int = 0,
-    revised_constraints: Sequence[Constraint] | None = None,
     record_callback: RecordCallback | None = None,
 ) -> RunState:
-    """Rebuild state from a checkpoint and continue for ``iterations`` more.
+    """Rebuild state from a checkpoint and continue for ``iterations`` more,
+    ``sim`` serving every constrained hypothesis as in ``run``.
 
-    With ``revised_constraints`` the GPs are rebuilt against the new g-scale
-    (stored hyperparameters, new targets) and the feasible set is recomputed
-    from existing records before any further simulation.
+    To revise a bound, pass a problem with the revised constraints: the GPs
+    are rebuilt against it (stored hyperparameters, new targets) and the
+    feasible set is recomputed before any further simulation. The problem
+    must hold a constraint for every label in the checkpoint (ValueError).
     """
-    data = checkpoint if isinstance(checkpoint, CheckpointData) else load_checkpoint(checkpoint)
-    if revised_constraints is not None:
-        labels = {c.label for c in problem.constraints}
-        revised = tuple(revised_constraints)
-        if {c.label for c in revised} != labels:
-            raise ValueError("revised constraints must keep the same labels")
-        problem = replace(problem, constraints=revised)
+    _require_valid(problem)
+    unknown = sorted(set(data.params) - {c.label for c in problem.constraints})
+    if unknown:
+        raise ValueError("checkpoint has hyperparameters for constraint(s) "
+                         f"{unknown} that the problem lacks")
     state = RunState(
         problem=problem, budget=budget, pso=pso or PsoConfig(),
         master_seed=data.master_seed,
@@ -364,8 +355,7 @@ def resume_run(
     )
     try:
         _update_models(state, refit=False)
-        sims = _normalize_simulators(problem, simulators)
-        _iterate(state, sims, iterations, record_callback)
+        _iterate(state, sim, iterations, record_callback)
     except (GpConditioningError, SimulationError) as exc:
         raise RunAborted(f"resume aborted: {exc}", state) from exc
     return state
@@ -373,7 +363,7 @@ def resume_run(
 
 def fixed_design_search(
     problem: Problem,
-    simulators: TrialSimulator | Mapping[str, TrialSimulator],
+    sim: TrialSimulator,
     count: int,
     n_samples: int,
     confidence: float = 0.975,
@@ -382,20 +372,18 @@ def fixed_design_search(
 ) -> tuple[ApproximationSet, list[EvaluationRecord]]:
     """One-shot comparator: evaluate a Sobol design once per point and keep
     points whose one-sided upper confidence bound clears every constraint.
+    ``sim`` serves every constrained hypothesis, as in ``run``.
 
     ``confidence`` is the one-sided level of the bound ``estimate +
     z(confidence) * mc_se``; 0.975 reproduces a two-sided 95% interval check,
     0.5 collapses the bound onto the raw estimate.
     """
-    report = problem.validate()
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.problems))
-    sims = _normalize_simulators(problem, simulators)
+    _require_valid(problem)
     budget = BudgetConfig(iterations=0, n_per_eval=n_samples)
     state = RunState(problem=problem, budget=budget, pso=PsoConfig(), master_seed=seed)
     for point in initial_design(problem, count):
         for name in problem.constrained_hypotheses:
-            _evaluate(state, sims, point, name, 0, record_callback)
+            _evaluate(state, sim, point, name, 0, record_callback)
 
     by_point: dict[tuple[float, ...], dict[str, EvaluationRecord]] = {}
     order: list[DesignPoint] = []

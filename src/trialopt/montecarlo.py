@@ -15,8 +15,9 @@ import numpy as np
 from .domain import EVENT_ACCEPT, DesignPoint, Hypothesis, mc_variance_of
 
 # A trial simulator: pure given the rng stream, returns True when the trial
-# rejects its null hypothesis. Which outcome an estimate counts is the
-# hypothesis' event, applied by ``mc_estimate``.
+# rejects its null hypothesis. One simulator serves every hypothesis: it
+# receives the hypothesis as an argument. Which outcome an estimate counts is
+# the hypothesis' event, applied by ``mc_estimate``.
 TrialSimulator = Callable[[DesignPoint, Hypothesis, np.random.Generator], bool]
 
 _MASK64 = (1 << 64) - 1

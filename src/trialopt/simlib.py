@@ -21,9 +21,9 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import owens_t
-from scipy.stats import binom, chi2, norm
-from scipy.stats import t as student_t
+# the scipy.special functions behind scipy.stats' norm, t and chi2, called
+# directly: the same values bit for bit, without importing scipy.stats
+from scipy.special import gammaincinv, ndtr, ndtri, owens_t, stdtrit
 
 from .domain import DesignPoint, DesignSpace, Hypothesis
 from .montecarlo import TrialSimulator
@@ -45,12 +45,12 @@ class UnknownScenarioError(ValueError):
 
 @lru_cache(maxsize=64)
 def _z_crit_two_sided(alpha: float) -> float:
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 @lru_cache(maxsize=256)
 def _t_crit_two_sided(alpha: float, df: int) -> float:
-    return float(student_t.ppf(1.0 - alpha / 2.0, df))
+    return float(stdtrit(df, 1.0 - alpha / 2.0))
 
 
 @lru_cache(maxsize=8)
@@ -66,11 +66,11 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     nudged by 1e-13 to stay off the removable discontinuity in the formula.
     """
     if rho >= 1.0:
-        return float(norm.cdf(min(h, k)))
+        return float(ndtr(min(h, k)))
     if rho <= -1.0:
-        return float(max(0.0, norm.cdf(h) + norm.cdf(k) - 1.0))
+        return float(max(0.0, ndtr(h) + ndtr(k) - 1.0))
     if rho == 0.0:
-        return float(norm.cdf(h) * norm.cdf(k))
+        return float(ndtr(h) * ndtr(k))
     if h == 0.0:
         h = 1e-13
     if k == 0.0:
@@ -78,7 +78,7 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     r = math.sqrt(1.0 - rho * rho)
     delta = 0.5 if h * k < 0.0 else 0.0
     return float(
-        0.5 * (norm.cdf(h) + norm.cdf(k))
+        0.5 * (ndtr(h) + ndtr(k))
         - owens_t(h, (k - rho * h) / (h * r))
         - owens_t(k, (h - rho * k) / (k * r))
         - delta
@@ -90,8 +90,8 @@ def bvn_both_two_sided(crit: float, mu1: float, mu2: float, rho: float) -> float
     def F(a, b):
         return bvn_cdf(a - mu1, b - mu2, rho)
 
-    p1_in = norm.cdf(crit - mu1) - norm.cdf(-crit - mu1)
-    p2_in = norm.cdf(crit - mu2) - norm.cdf(-crit - mu2)
+    p1_in = ndtr(crit - mu1) - ndtr(-crit - mu1)
+    p2_in = ndtr(crit - mu2) - ndtr(-crit - mu2)
     both_in = F(crit, crit) - F(-crit, crit) - F(crit, -crit) + F(-crit, -crit)
     return float(max(0.0, 1.0 - p1_in - p2_in + both_in))
 
@@ -126,11 +126,11 @@ def pooled_t_power(
     sd_num = math.sqrt(var1 / count1 + var2 / count2)
     scale = (1.0 / count1 + 1.0 / count2) / df
     u, w = _gl_unit_nodes(nodes)
-    w1 = chi2.ppf(u, count1 - 1) if count1 > 1 else np.zeros_like(u)
-    w2 = chi2.ppf(u, count2 - 1) if count2 > 1 else np.zeros_like(u)
+    w1 = 2 * gammaincinv((count1 - 1) / 2, u) if count1 > 1 else np.zeros_like(u)
+    w2 = 2 * gammaincinv((count2 - 1) / 2, u) if count2 > 1 else np.zeros_like(u)
     W1, W2 = np.meshgrid(w1, w2, indexing="ij")
     G = np.sqrt((var1 * W1 + var2 * W2) * scale)
-    p = norm.cdf((-tcrit * G - effect) / sd_num) + norm.sf((tcrit * G - effect) / sd_num)
+    p = ndtr((-tcrit * G - effect) / sd_num) + ndtr(-((tcrit * G - effect) / sd_num))
     return float(w @ p @ w)
 
 
@@ -212,7 +212,7 @@ def _two_arm_normal_oracle(x: Params, hp: Params) -> float:
     n = int(round(x["n"]))
     zc = _z_crit_two_sided(float(hp["alpha"]))
     ncp = float(hp["delta"]) * math.sqrt(n / 2.0) / float(hp["sigma"])
-    return float(norm.cdf(ncp - zc) + norm.cdf(-ncp - zc))
+    return float(ndtr(ncp - zc) + ndtr(-ncp - zc))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +237,10 @@ def _two_arm_binary_sim(x: Params, hp: Params, rng: np.random.Generator) -> bool
 
 
 def _two_arm_binary_oracle(x: Params, hp: Params) -> float:
+    # scipy.special has no binomial pmf; scipy.stats is imported here only,
+    # as an oracle never runs during an optimization
+    from scipy.stats import binom
+
     n = int(round(x["n"]))
     p0, p1 = float(hp["p0"]), float(hp["p1"])
     zc = _z_crit_two_sided(float(hp["alpha"]))
@@ -256,7 +260,7 @@ def _two_arm_binary_oracle(x: Params, hp: Params) -> float:
     pbar = 0.5 * (p0 + p1)
     se0 = math.sqrt(2.0 * pbar * (1.0 - pbar) / n)
     se1 = math.sqrt((p0 * (1.0 - p0) + p1 * (1.0 - p1)) / n)
-    return float(norm.cdf((-zc * se0 - diff) / se1) + norm.sf((zc * se0 - diff) / se1))
+    return float(ndtr((-zc * se0 - diff) / se1) + ndtr(-((zc * se0 - diff) / se1)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +411,7 @@ def _pilot_either_sim(x: Params, hp: Params, rng: np.random.Generator) -> bool:
     var, _ = _endpoint_pair_moments(x, hp)
     diff = effects + _simulate_endpoint_pair_diff(x, hp, rng)
     z = diff / math.sqrt(var)
-    zc = float(norm.ppf(1.0 - a))
+    zc = float(ndtri(1.0 - a))
     return bool(z[0] > zc or z[1] > zc)
 
 
@@ -416,7 +420,7 @@ def _pilot_either_oracle(x: Params, hp: Params) -> float:
     var, cov = _endpoint_pair_moments(x, hp)
     se = math.sqrt(var)
     rho = min(1.0, max(-1.0, cov / var))
-    zc = float(norm.ppf(1.0 - a))
+    zc = float(ndtri(1.0 - a))
     return bvn_either_one_sided(zc, float(hp["beta1_f"]) / se, float(hp["beta1_d"]) / se, rho)
 
 

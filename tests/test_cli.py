@@ -137,6 +137,28 @@ def test_malformed_command_line_budget_exits_2_before_writing(tmp_path, capsys):
     assert "n_per_eval must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("baseline", "--count", "-3"),
+    ("baseline", "--count", "0"),
+    ("baseline", "--confidence", "1.5"),
+    ("verify", "--n-verify", "0"),
+])
+def test_bad_command_line_value_exits_2_before_writing(tmp_path, capsys, command,
+                                                       flag, value):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    if command == "verify":
+        assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
+        argv = ["verify", str(out)]
+    else:
+        argv = ["baseline", str(cfg), "--out", str(out)]
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    assert main(argv + [flag, value]) == 2
+    assert f"config error: {flag} must be" in capsys.readouterr().err
+    after = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    assert after == before
+
+
 def test_rerun_same_seed_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -342,6 +364,17 @@ def test_aborted_resume_leaves_checkpoint_with_config_hash(tmp_path, capsys):
     moved = tmp_path / "moved"
     assert main(["resume", str(out / "checkpoint.bin"), "--out", str(moved)]) == 1
     assert_aborted_with_checkpoint(moved, capsys.readouterr().err)
+
+
+def test_verify_of_aborted_run_exits_1_and_changes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, design_space=ABORTING_SPACE)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["verify", str(out), "--n-verify", "100"]) == 1
+    assert "error: resume aborted: no hyperparameters" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_unwritable_abort_checkpoint_is_reported(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,26 +77,34 @@ def test_run_requires_valid_problem():
         run(broken, sim, BudgetConfig(iterations=1))
 
 
-def test_missing_simulator_for_hypothesis():
-    problem, _ = analytic_problem()
-    with pytest.raises(ValueError):
-        run(problem, {"other": lambda p, h, rng: True},
-            BudgetConfig(iterations=0, initial_points=4))
+def with_type_one_constraint(problem):
+    """``problem`` plus a null hypothesis (delta = 0) under a type I constraint."""
+    null = Hypothesis("null", {"delta": 0.0, "sigma": 1.0, "alpha": 0.05})
+    return replace(
+        problem,
+        constraints=problem.constraints + (Constraint("typeI", "null", 0.1),),
+        hypotheses={**problem.hypotheses, "null": null},
+    )
 
 
 def test_simulator_calls_per_hypothesis():
-    problem, sim = analytic_problem()
-    calls = {"n": 0}
+    one, sim = analytic_problem()
+    for problem in (one, with_type_one_constraint(one)):
+        hyps = problem.constrained_hypotheses
+        seen = []
 
-    def counting(point, hyp, rng):
-        calls["n"] += 1
-        return sim(point, hyp, rng)
+        def counting(point, hyp, rng):
+            seen.append(hyp)
+            return sim(point, hyp, rng)
 
-    state = run(problem, counting, BudgetConfig(iterations=3, n_per_eval=40,
-                                                initial_points=6),
-                pso=FAST_PSO, seed=2)
-    assert calls["n"] == (6 + 3) * 40
-    assert state.total_samples == (6 + 3) * 40
+        state = run(problem, counting, BudgetConfig(iterations=3, n_per_eval=40,
+                                                    initial_points=6),
+                    pso=FAST_PSO, seed=2)
+        assert len(seen) == (6 + 3) * 40 * len(hyps)
+        assert state.total_samples == (6 + 3) * 40 * len(hyps)
+        # one simulator receives each constrained hypothesis itself
+        assert {h.name: h for h in seen} == {n: problem.hypotheses[n] for n in hyps}
+        assert [r.hypothesis for r in state.records] == list(hyps) * (6 + 3)
 
 
 def test_records_stay_in_bounds_with_integral_dims():
@@ -209,7 +218,8 @@ def test_resume_equals_straight_run(tmp_path):
     first = run(problem, sim, half, pso=FAST_PSO, seed=13)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(first, path)
-    resumed = resume_run(path, problem, sim, half, pso=FAST_PSO, iterations=3)
+    resumed = resume_run(load_checkpoint(path), problem, sim, half, pso=FAST_PSO,
+                         iterations=3)
 
     assert resumed.records == straight.records
     assert resumed.trajectory == straight.trajectory
@@ -225,8 +235,8 @@ def test_resume_with_relaxed_nominal_grows_feasible_set(tmp_path):
 
     relaxed = (Constraint("typeII", "alt", nominal=0.3,
                           confidence=problem.constraints[0].confidence),)
-    resumed = resume_run(path, problem, sim, budget, pso=FAST_PSO, iterations=0,
-                         revised_constraints=relaxed)
+    resumed = resume_run(load_checkpoint(path), replace(problem, constraints=relaxed),
+                         sim, budget, pso=FAST_PSO, iterations=0)
     before = {p.coords for p, _ in state.approx_set.members}
     # same GP hyperparameters, relaxed bound: feasibility can only widen,
     # so every previously feasible point stays feasible
@@ -251,8 +261,9 @@ def test_resume_rejects_renamed_constraints(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(state, path)
     with pytest.raises(ValueError):
-        resume_run(path, problem, sim, BudgetConfig(iterations=0),
-                   revised_constraints=(Constraint("other", "alt", 0.2),))
+        resume_run(load_checkpoint(path),
+                   replace(problem, constraints=(Constraint("other", "alt", 0.2),)),
+                   sim, BudgetConfig(iterations=0))
 
 
 def test_load_checkpoint_errors(tmp_path):

@@ -48,7 +48,7 @@ def formula_problem(scenario_name, formula):
         "objectives": {"formula": formula},
         "reference_point": [1e6] * len(labels),
     })
-    problem, _, _ = build_problem(cfg)
+    problem, _ = build_problem(cfg)
     return problem
 
 

@@ -1,14 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import nct, norm
+from scipy.special import gammaincinv, ndtr, ndtri, stdtrit
+from scipy.stats import chi2, nct, norm
 from scipy.stats import t as student_t
 
+import trialopt
 from trialopt.domain import DesignPoint, Hypothesis
 from trialopt.montecarlo import mc_estimate
 from trialopt.simlib import (
     UnknownScenarioError,
+    _gl_unit_nodes,
+    _t_crit_two_sided,
+    _z_crit_two_sided,
     bvn_cdf,
     bvn_both_two_sided,
     bvn_either_one_sided,
@@ -329,3 +338,53 @@ def test_objective_formulas():
     p = get_scenario("pilot_either")
     labels, fn = p.objective_formulas["pilot_objectives"]
     assert tuple(fn({"n1": 80, "k": 4, "r": 0.5, "j": 10, "a": 0.1})) == (120.0, 4.0, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# scipy.special forms in place of scipy.stats
+# ---------------------------------------------------------------------------
+
+ALPHAS = (0.01, 0.025, 0.05, 0.1, 0.2)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_normal_forms_match_scipy_stats_bitwise():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(0.0, 3.0, 20_000), rng.uniform(-40.0, 40.0, 5_000),
+                        [0.0, -0.0, 1e-13, -1e-13, 8.3, -8.3, 38.5, -38.5]])
+    assert same_bits(ndtr(x), norm.cdf(x))
+    assert same_bits(ndtr(-x), norm.sf(x))
+    # quantiles at 1 - alpha/2 (two-sided critical values) and 1 - a for the
+    # pilot's nominal test size a in (0, 0.5)
+    q = np.concatenate([1.0 - rng.uniform(0.0, 0.5, 20_000),
+                        [1.0 - a / 2.0 for a in ALPHAS]])
+    assert same_bits(ndtri(q), norm.ppf(q))
+    for alpha in ALPHAS:
+        assert same_bits(_z_crit_two_sided(alpha), norm.ppf(1.0 - alpha / 2.0))
+
+
+def test_student_t_quantile_matches_scipy_stats_bitwise():
+    df = np.arange(1, 400)
+    for alpha in ALPHAS:
+        q = 1.0 - alpha / 2.0
+        assert same_bits(stdtrit(df, q), student_t.ppf(q, df))
+        assert same_bits([_t_crit_two_sided(alpha, int(d)) for d in df[:50]],
+                         student_t.ppf(q, df[:50]))
+
+
+def test_chi2_quantile_matches_scipy_stats_bitwise():
+    u, _ = _gl_unit_nodes(96)
+    for df in range(1, 300):
+        assert same_bits(2 * gammaincinv(df / 2, u), chi2.ppf(u, df)), df
+
+
+def test_importing_cli_leaves_scipy_stats_unloaded():
+    src = Path(trialopt.__file__).resolve().parents[1]
+    code = "import sys, trialopt.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

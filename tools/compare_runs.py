@@ -1,16 +1,18 @@
 """Run two trialopt checkouts on one config and compare their run files.
 
     python3 tools/compare_runs.py PARENT_ROOT CHANGE_ROOT --config FILE \
-        --seeds 0-19 [--baseline | [--resume K] [--verify N]]
+        --seeds 0-19 [--baseline | [--resume K [--nominal LABEL=VALUE ...]]
+                                   [--verify N]]
 
 For every seed, each checkout runs ``trialopt run CONFIG --out DIR --seed S``
 (``trialopt baseline`` with ``--baseline``) in a fresh interpreter that
 imports ``trialopt`` from the checkout's own ``src`` directory. With
 ``--resume K`` the run stops K iterations short of the config's
 ``budget.iterations`` and ``trialopt resume DIR/checkpoint.bin --iterations
-K`` finishes it; with ``--verify N``, ``trialopt verify DIR --n-verify N``
-follows, adding pareto_verified.csv. The commands of one seed stop at the
-first that fails. Every file the commands leave is compared byte for byte,
+K`` finishes it, given each ``--nominal LABEL=VALUE`` (repeatable) to revise
+that constraint's bound; with ``--verify N``, ``trialopt verify DIR
+--n-verify N`` follows, adding pareto_verified.csv. The commands of one seed
+stop at the first that fails. Every file the commands leave is compared byte for byte,
 and so are their exit codes; the ``elapsed seconds`` line of
 ``report.txt`` is wall time and is the one line left out. Prints one line
 per seed and every file that differs, and exits 1 on any difference (0 when
@@ -53,7 +55,8 @@ def commands(args: argparse.Namespace, iterations: int | None, seed: int,
     else:
         steps = [first + ["--iterations", str(iterations - args.resume)],
                  ["resume", str(out / "checkpoint.bin"),
-                  "--iterations", str(args.resume)]]
+                  "--iterations", str(args.resume)]
+                 + [arg for pair in args.nominal for arg in ("--nominal", pair)]]
     if args.verify is not None:
         steps.append(["verify", str(out), "--n-verify", str(args.verify)])
     return steps
@@ -102,11 +105,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="compare 'trialopt baseline' instead of 'trialopt run'")
     parser.add_argument("--resume", type=int, metavar="K",
                         help="run K iterations short, then resume for K")
+    parser.add_argument("--nominal", action="append", default=[],
+                        metavar="LABEL=VALUE",
+                        help="revise a constraint bound on the resume step")
     parser.add_argument("--verify", type=int, metavar="N",
                         help="then verify with N replicates per estimate")
     args = parser.parse_args(argv)
     if args.baseline and (args.resume is not None or args.verify is not None):
         parser.error("--baseline takes neither --resume nor --verify")
+    if args.nominal and args.resume is None:
+        parser.error("--nominal needs --resume")
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     for label, root in roots.items():
         if not (root / "src" / "trialopt" / "__init__.py").is_file():
