@@ -7,7 +7,9 @@ evals.log (append-only, one JSON record per evaluation), pareto.csv,
 trajectory.csv, checkpoint.bin, report.txt and, after ``verify``,
 pareto_verified.csv. While a command works in it the directory also holds
 .lock; every command takes that lock before it writes anything, and a
-command that finds it held exits 2 without changing the directory.
+command that finds it held exits 2 without changing the directory. ``run``
+and ``baseline`` start only in a directory without evals.log, so one log
+never mixes two runs' records.
 """
 
 from __future__ import annotations
@@ -328,12 +330,32 @@ class RunLock:
         try:
             self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise ConfigError(
-                [f"run directory is locked by another process ({self.path}); "
-                 "remove the lock file if that process is gone"]
-            ) from None
+            raise ConfigError([self._held_message()]) from None
         os.write(self._fd, str(os.getpid()).encode())
         return self
+
+    def _held_message(self) -> str:
+        """Who holds the lock: the PID it names, and whether that process
+        still runs. The lock is never removed here; a PID may be reused."""
+        unknown = (f"run directory is locked by another process ({self.path}); "
+                   "remove the lock file if that process is gone")
+        try:
+            pid = int(self.path.read_text().strip())
+        except (OSError, ValueError):
+            return unknown
+        if pid <= 0:  # 0 and negative numbers name process groups
+            return unknown
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return (f"run directory is locked by process {pid}, which is not "
+                    f"running: the lock is stale; remove {self.path} to continue")
+        except PermissionError:  # the process exists but belongs to another user
+            pass
+        except OverflowError:
+            return unknown
+        return (f"run directory is locked by running process {pid} ({self.path}); "
+                "wait for it to finish")
 
     def __exit__(self, *exc_info):
         if self._fd is not None:
@@ -488,6 +510,16 @@ def _run_directory(out: Path, cfg: Mapping, history: Path | None = None):
             handle.close()
 
 
+def _require_no_log(out: Path) -> None:
+    """Refuse a directory whose evals.log an earlier command left: a new run
+    would append its records to that log."""
+    if (out / LOG_NAME).exists():
+        raise ConfigError(
+            [f"{out / LOG_NAME} already exists; a new run would append to it: "
+             "use a fresh directory"]
+        )
+
+
 def _optimize(out: Path, cfg: Mapping, step, history: Path | None = None) -> int:
     """Run ``step(record_callback)``, which calls ``engine.run`` or
     ``engine.resume_run``, in the run directory ``out``, then write the
@@ -531,6 +563,7 @@ def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
             [f"{out / CHECKPOINT_NAME} already exists; use 'resume' or a fresh "
              "directory"]
         )
+    _require_no_log(out)
     return _optimize(out, cfg, lambda write: engine.run(
         problem, sim, budget_from_config(cfg), pso=pso_from_config(cfg),
         seed=cfg["seed"], record_callback=write,
@@ -607,6 +640,7 @@ def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
         raise ConfigError(problems)
     problem, sim = build_problem(cfg)
     out = Path(out_dir)
+    _require_no_log(out)
     with _run_directory(out, cfg) as write:
         aset, records = engine.fixed_design_search(
             problem, sim, count=count,

@@ -29,6 +29,8 @@ from .domain import DesignPoint, DesignSpace, Hypothesis
 from .montecarlo import TrialSimulator
 
 Params = Mapping[str, float]
+# one replicate at a prepared point: the rejection indicator
+Draw = Callable[[np.random.Generator], bool]
 # design parameter name -> one value per design; a formula returns one column
 # per objective label
 Columns = Mapping[str, np.ndarray]
@@ -134,15 +136,6 @@ def pooled_t_power(
     return float(w @ p @ w)
 
 
-def _bivariate(rng: np.random.Generator, count: int, var: float, rho: float) -> np.ndarray:
-    """(count, 2) draws with marginal variance ``var`` and correlation ``rho``."""
-    z = rng.standard_normal((count, 2))
-    out = np.empty_like(z)
-    out[:, 0] = z[:, 0]
-    out[:, 1] = rho * z[:, 0] + math.sqrt(max(0.0, 1.0 - rho * rho)) * z[:, 1]
-    return out * math.sqrt(var)
-
-
 # ---------------------------------------------------------------------------
 # scenario plumbing
 # ---------------------------------------------------------------------------
@@ -151,24 +144,47 @@ def _bivariate(rng: np.random.Generator, count: int, var: float, rho: float) -> 
 class Scenario:
     """A named simulator with its independent rejection-probability oracle.
 
-    ``simulate`` and ``rejection_rate`` receive design parameters and
-    hypothesis parameters as name->value mappings. ``objective_formulas``
-    maps formula ids to (labels, fn) pairs usable from configs; ``fn``
-    receives a name->column mapping, one array of m designs' values per
-    design parameter, and returns one column per label. Formulas must be
-    elementwise (each design's objectives from its own values only), so a
-    column gives exactly the values a one-design call would.
+    ``prepare`` and ``rejection_rate`` receive design parameters and
+    hypothesis parameters as name->value mappings. ``prepare(x, hp)`` does
+    the work that depends only on the point: it checks the layout, raising
+    ValueError for a design the scenario cannot simulate, parses the
+    parameters and computes constants such as critical values. It returns
+    ``draw(rng) -> bool``, one replicate of data generation plus analysis
+    that returns the rejection indicator and depends on ``x`` and ``hp``
+    only through what ``prepare`` computed; ``draw`` must not keep ``rng``.
+    ``simulate`` and ``simulator`` reuse the draw prepared for the last
+    (design, hypothesis) values they saw.
+
+    ``objective_formulas`` maps formula ids to (labels, fn) pairs usable
+    from configs; ``fn`` receives a name->column mapping, one array of m
+    designs' values per design parameter, and returns one column per label.
+    Formulas must be elementwise (each design's objectives from its own
+    values only), so a column gives exactly the values a one-design call
+    would.
     """
 
     name: str
     design_params: tuple[str, ...]
     optional_params: tuple[str, ...]
     hypothesis_params: tuple[str, ...]
-    simulate: Callable[[Params, Params, np.random.Generator], bool]
+    prepare: Callable[[Params, Params], Draw]
     rejection_rate: Callable[[Params, Params], float]
     objective_formulas: Mapping[str, tuple[tuple[str, ...], Formula]] = field(
         default_factory=dict
     )
+    # ((design items, hypothesis items), draw) of the last point prepared;
+    # replaced whole, so a reader never pairs one point's key with another's draw
+    _last: list = field(default_factory=lambda: [None], init=False, repr=False,
+                        compare=False)
+
+    def simulate(self, x: Params, hp: Params, rng: np.random.Generator) -> bool:
+        """One replicate at design ``x`` under hypothesis parameters ``hp``."""
+        key = (tuple(x.items()), tuple(hp.items()))
+        last = self._last[0]
+        if last is None or last[0] != key:
+            last = (key, self.prepare(x, hp))
+            self._last[0] = last
+        return last[1](rng)
 
     def simulator(self, space: DesignSpace) -> TrialSimulator:
         """Adapt this scenario to the TrialSimulator contract for a space."""
@@ -196,16 +212,21 @@ class Scenario:
 # two-arm z-test on continuous outcomes
 # ---------------------------------------------------------------------------
 
-def _two_arm_normal_sim(x: Params, hp: Params, rng: np.random.Generator) -> bool:
+def _two_arm_normal_prepare(x: Params, hp: Params) -> Draw:
     n = int(round(x["n"]))
     if n < 2:
         raise ValueError("per-arm n must be >= 2")
     delta = float(hp["delta"])
     sigma = float(hp["sigma"])
-    control = rng.normal(0.0, sigma, n)
-    treated = rng.normal(delta, sigma, n)
-    z = (treated.mean() - control.mean()) / (sigma * math.sqrt(2.0 / n))
-    return bool(abs(z) > _z_crit_two_sided(float(hp["alpha"])))
+    se = sigma * math.sqrt(2.0 / n)
+    zc = _z_crit_two_sided(float(hp["alpha"]))
+
+    def draw(rng: np.random.Generator) -> bool:
+        control = rng.normal(0.0, sigma, n)
+        treated = rng.normal(delta, sigma, n)
+        return bool(abs((treated.mean() - control.mean()) / se) > zc)
+
+    return draw
 
 
 def _two_arm_normal_oracle(x: Params, hp: Params) -> float:
@@ -222,18 +243,24 @@ def _two_arm_normal_oracle(x: Params, hp: Params) -> float:
 _BINARY_EXACT_LIMIT = 200
 
 
-def _two_arm_binary_sim(x: Params, hp: Params, rng: np.random.Generator) -> bool:
+def _two_arm_binary_prepare(x: Params, hp: Params) -> Draw:
     n = int(round(x["n"]))
     if n < 10:
         raise ValueError("per-arm n must be >= 10")
-    x0 = rng.binomial(n, float(hp["p0"]))
-    x1 = rng.binomial(n, float(hp["p1"]))
-    pooled = (x0 + x1) / (2.0 * n)
-    se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
-    if se == 0.0:
-        return False
-    z = (x1 - x0) / n / se
-    return bool(abs(z) > _z_crit_two_sided(float(hp["alpha"])))
+    p0 = float(hp["p0"])
+    p1 = float(hp["p1"])
+    zc = _z_crit_two_sided(float(hp["alpha"]))
+
+    def draw(rng: np.random.Generator) -> bool:
+        x0 = rng.binomial(n, p0)
+        x1 = rng.binomial(n, p1)
+        pooled = (x0 + x1) / (2.0 * n)
+        se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+        if se == 0.0:
+            return False
+        return bool(abs((x1 - x0) / n / se) > zc)
+
+    return draw
 
 
 def _two_arm_binary_oracle(x: Params, hp: Params) -> float:
@@ -297,28 +324,45 @@ def _cluster_variances(x: Params, hp: Params) -> tuple[int, int, float, float]:
     return k, n2, v1, v2
 
 
-def _cluster_rct_sim(x: Params, hp: Params, rng: np.random.Generator) -> bool:
+def _cluster_rct_statistic(
+    x: Params, hp: Params,
+) -> tuple[Callable[[np.random.Generator], float], int]:
+    """(t(rng), df): one replicate's pooled t statistic on the cluster means,
+    NaN (which rejects at no level) when the pooled variance is not positive,
+    and its degrees of freedom."""
     k, n2, c, m_i, m_c = _cluster_layout(x)
     beta0 = float(hp.get("beta0", 0.0))
     beta1 = float(hp["beta1"])
     st2 = float(hp["sigma_t2"])
     sd2 = float(hp["sigma_d2"])
     sw2 = float(hp["sigma_w2"])
-    # intervention therapist-cluster means: therapist effect + own doctors + residual mean
-    a = (beta0 + beta1
-         + rng.normal(0.0, math.sqrt(st2), k)
-         + rng.normal(0.0, math.sqrt(sd2 / c), k)
-         + rng.normal(0.0, math.sqrt(sw2 / m_i), k))
-    # control doctor-cluster means
-    b = (beta0
-         + rng.normal(0.0, math.sqrt(sd2), n2)
-         + rng.normal(0.0, math.sqrt(sw2 / m_c), n2))
+    intervention_mean = beta0 + beta1
+    sds = [math.sqrt(st2), math.sqrt(sd2 / c), math.sqrt(sw2 / m_i),
+           math.sqrt(sd2), math.sqrt(sw2 / m_c)]
+    # one draw of the five normal vectors, in their order: three of k for the
+    # intervention therapist-cluster means (therapist effect, own doctors,
+    # residual mean), two of n2 for the control doctor-cluster means;
+    # sd * z is the value rng.normal(0.0, sd) gives (0.0 + sd * z)
+    scale = np.repeat(sds, [k, k, k, n2, n2])
     df = k + n2 - 2
-    sp2 = ((k - 1) * a.var(ddof=1) + (n2 - 1) * b.var(ddof=1)) / df
-    if sp2 <= 0.0:
-        return False
-    t = (a.mean() - b.mean()) / math.sqrt(sp2 * (1.0 / k + 1.0 / n2))
-    return bool(abs(t) > _t_crit_two_sided(float(hp["alpha"]), df))
+    se_scale = 1.0 / k + 1.0 / n2
+
+    def t(rng: np.random.Generator) -> float:
+        e = rng.standard_normal(scale.size) * scale
+        a = intervention_mean + e[:k] + e[k:2 * k] + e[2 * k:3 * k]
+        b = beta0 + e[3 * k:3 * k + n2] + e[3 * k + n2:]
+        sp2 = ((k - 1) * a.var(ddof=1) + (n2 - 1) * b.var(ddof=1)) / df
+        if sp2 <= 0.0:
+            return math.nan
+        return (a.mean() - b.mean()) / math.sqrt(sp2 * se_scale)
+
+    return t, df
+
+
+def _cluster_rct_prepare(x: Params, hp: Params) -> Draw:
+    t, df = _cluster_rct_statistic(x, hp)
+    tc = _t_crit_two_sided(float(hp["alpha"]), df)
+    return lambda rng: bool(abs(t(rng)) > tc)
 
 
 def _cluster_rct_oracle(x: Params, hp: Params) -> float:
@@ -364,8 +408,16 @@ def _endpoint_pair_moments(x: Params, hp: Params) -> tuple[float, float]:
     return var, cov
 
 
-def _simulate_endpoint_pair_diff(x: Params, hp: Params, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the two endpoints' arm-mean differences (without effects)."""
+def _endpoint_pair_sampler(x: Params, hp: Params) -> Callable[[np.random.Generator], np.ndarray]:
+    """diff(rng): one draw of the two endpoints' arm-mean differences
+    (without effects).
+
+    Rows of correlated endpoint pairs, each (z0, rho z0 + sqrt(1 - rho^2) z1)
+    scaled by its standard deviation: k therapist effects, k cluster residual
+    means, then one row each for the intervention doctors, the control
+    doctors and the control residual mean. All rows come from one
+    ``standard_normal((2k + 3, 2))`` draw.
+    """
     n1, k, d_arm, n0 = _arm_level_layout(x)
     st2 = float(hp["sigma_t2"])
     sd2 = float(hp["sigma_d2"])
@@ -374,21 +426,38 @@ def _simulate_endpoint_pair_diff(x: Params, hp: Params, rng: np.random.Generator
     rho_d = float(hp["rho_d"])
     rho_w = float(hp["rho_w"])
     m_i = n1 / k
-    u = _bivariate(rng, k, st2, rho_t)                   # therapist effects
-    e_i = _bivariate(rng, k, sw2 / m_i, rho_w)           # cluster residual means
-    w_arm = _bivariate(rng, 1, sd2 / d_arm, rho_d)[0]    # intervention doctors
-    v_arm = _bivariate(rng, 1, sd2 / d_arm, rho_d)[0]    # control doctors
-    e_c = _bivariate(rng, 1, sw2 / n0, rho_w)[0]         # control residual mean
-    return u.mean(axis=0) + e_i.mean(axis=0) + w_arm - v_arm - e_c
+    blocks = [(st2, rho_t), (sw2 / m_i, rho_w), (sd2 / d_arm, rho_d),
+              (sd2 / d_arm, rho_d), (sw2 / n0, rho_w)]
+    counts = [k, k, 1, 1, 1]
+    rho = np.repeat([r for _, r in blocks], counts)
+    root = np.repeat([math.sqrt(max(0.0, 1.0 - r * r)) for _, r in blocks], counts)
+    scale = np.repeat([math.sqrt(v) for v, _ in blocks], counts)[:, None]
+    shape = (2 * k + 3, 2)
+
+    def diff(rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(shape)
+        z[:, 1] = rho * z[:, 0] + root * z[:, 1]
+        z *= scale
+        # the row blocks are views with the strides of separate (count, 2)
+        # arrays, so their means reduce in the same order
+        return (z[:k].mean(axis=0) + z[k:2 * k].mean(axis=0)
+                + z[2 * k] - z[2 * k + 1] - z[2 * k + 2])
+
+    return diff
 
 
-def _co_primary_sim(x: Params, hp: Params, rng: np.random.Generator) -> bool:
+def _co_primary_prepare(x: Params, hp: Params) -> Draw:
     effects = np.array([float(hp["beta1_f"]), float(hp["beta1_d"])])
     var, _ = _endpoint_pair_moments(x, hp)
-    diff = effects + _simulate_endpoint_pair_diff(x, hp, rng)
-    z = diff / math.sqrt(var)
+    pair_diff = _endpoint_pair_sampler(x, hp)
+    se = math.sqrt(var)
     zc = _z_crit_two_sided(float(hp["alpha"]))
-    return bool(abs(z[0]) > zc and abs(z[1]) > zc)
+
+    def draw(rng: np.random.Generator) -> bool:
+        z = (effects + pair_diff(rng)) / se
+        return bool(abs(z[0]) > zc and abs(z[1]) > zc)
+
+    return draw
 
 
 def _co_primary_oracle(x: Params, hp: Params) -> float:
@@ -403,16 +472,21 @@ def _co_primary_oracle(x: Params, hp: Params) -> float:
 # small pilot: either endpoint, one-sided, nominal test size as design variable
 # ---------------------------------------------------------------------------
 
-def _pilot_either_sim(x: Params, hp: Params, rng: np.random.Generator) -> bool:
+def _pilot_either_prepare(x: Params, hp: Params) -> Draw:
     a = float(x["a"])
     if not 0.0 < a < 0.5:
         raise ValueError("nominal test size a must be in (0, 0.5)")
     effects = np.array([float(hp["beta1_f"]), float(hp["beta1_d"])])
     var, _ = _endpoint_pair_moments(x, hp)
-    diff = effects + _simulate_endpoint_pair_diff(x, hp, rng)
-    z = diff / math.sqrt(var)
+    pair_diff = _endpoint_pair_sampler(x, hp)
+    se = math.sqrt(var)
     zc = float(ndtri(1.0 - a))
-    return bool(z[0] > zc or z[1] > zc)
+
+    def draw(rng: np.random.Generator) -> bool:
+        z = (effects + pair_diff(rng)) / se
+        return bool(z[0] > zc or z[1] > zc)
+
+    return draw
 
 
 def _pilot_either_oracle(x: Params, hp: Params) -> float:
@@ -460,7 +534,7 @@ register_scenario(Scenario(
     design_params=("n",),
     optional_params=(),
     hypothesis_params=("delta", "sigma", "alpha"),
-    simulate=_two_arm_normal_sim,
+    prepare=_two_arm_normal_prepare,
     rejection_rate=_two_arm_normal_oracle,
     objective_formulas={
         "per_arm_n": (("per_arm_n",), lambda x: (x["n"],)),
@@ -473,7 +547,7 @@ register_scenario(Scenario(
     design_params=("n",),
     optional_params=(),
     hypothesis_params=("p0", "p1", "alpha"),
-    simulate=_two_arm_binary_sim,
+    prepare=_two_arm_binary_prepare,
     rejection_rate=_two_arm_binary_oracle,
     objective_formulas={
         "per_arm_n": (("per_arm_n",), lambda x: (x["n"],)),
@@ -486,7 +560,7 @@ register_scenario(Scenario(
     design_params=("n", "k"),
     optional_params=("j",),
     hypothesis_params=("beta1", "sigma_t2", "sigma_d2", "sigma_w2", "alpha"),
-    simulate=_cluster_rct_sim,
+    prepare=_cluster_rct_prepare,
     rejection_rate=_cluster_rct_oracle,
     objective_formulas=_CLUSTER_OBJECTIVES,
 ))
@@ -497,7 +571,7 @@ register_scenario(Scenario(
     optional_params=("j",),
     hypothesis_params=("beta1_f", "beta1_d", "rho_w", "rho_t", "rho_d",
                        "sigma_t2", "sigma_d2", "sigma_w2", "alpha"),
-    simulate=_co_primary_sim,
+    prepare=_co_primary_prepare,
     rejection_rate=_co_primary_oracle,
     objective_formulas=_CLUSTER_OBJECTIVES,
 ))
@@ -508,7 +582,7 @@ register_scenario(Scenario(
     optional_params=(),
     hypothesis_params=("beta1_f", "beta1_d", "rho_w", "rho_t", "rho_d",
                        "sigma_t2", "sigma_d2", "sigma_w2"),
-    simulate=_pilot_either_sim,
+    prepare=_pilot_either_prepare,
     rejection_rate=_pilot_either_oracle,
     objective_formulas={
         "pilot_objectives": (

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +178,22 @@ def test_run_refuses_existing_checkpoint(tmp_path, capsys):
     assert "resume" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first, second", [
+    ("run", "run"), ("baseline", "baseline"), ("baseline", "run")])
+def test_run_and_baseline_refuse_a_directory_with_a_log(tmp_path, capsys, first, second):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    extra = {"run": [], "baseline": ["--count", "5"]}
+    assert main([first, str(cfg), "--out", str(out)] + extra[first]) == 0
+    # a run killed before it wrote its checkpoint leaves its log behind
+    (out / "checkpoint.bin").unlink(missing_ok=True)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([second, str(cfg), "--out", str(out)] + extra[second]) == 2
+    assert "evals.log already exists" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_config_normalization_roundtrip():
     cfg = normalize_config(analytic_config())
     again = normalize_config(json.loads(canonical_dumps(cfg)))
@@ -309,6 +328,26 @@ def test_lock_prevents_concurrent_runs(tmp_path, capsys):
     (out / ".lock").write_text("12345")
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "locked" in capsys.readouterr().err
+
+
+def test_lock_message_tells_a_stale_lock_from_a_live_one(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    finished = subprocess.Popen([sys.executable, "-c", "pass"])
+    finished.wait()
+    (out / ".lock").write_text(str(finished.pid))
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"locked by process {finished.pid}, which is not running" in err
+    assert "stale" in err
+    (out / ".lock").write_text(str(os.getpid()))
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"locked by running process {os.getpid()}" in err
+    assert "stale" not in err
+    # the lock is reported, never removed
+    assert sorted(p.name for p in out.iterdir()) == [".lock"]
 
 
 def test_resume_into_locked_directory_changes_nothing(tmp_path, capsys):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trialopt.domain import DesignPoint, Hypothesis, mc_variance_of
 from trialopt.montecarlo import (
+    _CHUNK,
     McEstimate,
     SimulationError,
+    _pcg64_states,
+    _replicate_seeds,
     derive_replicate_seed,
     mc_estimate,
 )
@@ -126,3 +131,69 @@ def test_simulator_failure_deterministic_across_workers():
 def test_rejects_zero_samples():
     with pytest.raises(ValueError):
         mc_estimate(always_true, POINT, HYP, 0, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the reused generator draws each replicate's default_rng stream
+# ---------------------------------------------------------------------------
+
+def pcg64_state(rng):
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["state"]["inc"], state["has_uint32"]
+
+
+def test_edge_seed_states_equal_default_rng():
+    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+    got = _pcg64_states(np.array(seeds, dtype=np.uint64))
+    want = [pcg64_state(np.random.default_rng(s))[:2] for s in seeds]
+    assert got == want
+
+
+def test_state_set_for_each_replicate_equals_default_rng():
+    states = []
+
+    def record(point, hyp, rng):
+        states.append(pcg64_state(rng))
+        return True
+
+    mc_estimate(record, POINT, HYP, 1000, seed=2**40 + 3, eval_index=17)
+    assert states == [
+        pcg64_state(np.random.default_rng(derive_replicate_seed(2**40 + 3, 17, i)))
+        for i in range(1000)
+    ]
+
+
+@given(master=st.integers(-2**70, 2**70), eval_index=st.integers(0, 2**32 - 1),
+       chunk=st.integers(0, 2**32 // _CHUNK - 1), size=st.integers(1, _CHUNK))
+def test_vectorised_seeds_equal_scalar_reference(master, eval_index, chunk, size):
+    start = chunk * _CHUNK
+    stop = min(start + size, 2**32)
+    got = _replicate_seeds(master, eval_index, start, stop).tolist()
+    assert got == [derive_replicate_seed(master, eval_index, i) for i in range(start, stop)]
+
+
+def test_buffered_uint32_does_not_leak_into_the_next_replicate():
+    draws = []
+
+    def odd_int32(point, hyp, rng):
+        # three 32-bit draws leave half of a 64-bit output buffered
+        draws.append(rng.integers(0, 2**31 - 1, size=3, dtype=np.int32).tolist()
+                     + [rng.random()])
+        return True
+
+    mc_estimate(odd_int32, POINT, HYP, 50, seed=9)
+    for i, got in enumerate(draws):
+        rng = np.random.default_rng(derive_replicate_seed(9, 0, i))
+        want = rng.integers(0, 2**31 - 1, size=3, dtype=np.int32).tolist() + [rng.random()]
+        assert got == want, i
+
+
+def test_estimate_across_chunks_equals_per_replicate_default_rng_loop():
+    def sim(point, hyp, rng):
+        return bool(rng.normal(0.3, 1.0, 4).mean() > 0.25)
+
+    n = 2 * _CHUNK + 452
+    est = mc_estimate(sim, POINT, HYP, n, seed=31, eval_index=5)
+    successes = sum(sim(POINT, HYP, np.random.default_rng(derive_replicate_seed(31, 5, i)))
+                    for i in range(n))
+    assert est.successes == successes

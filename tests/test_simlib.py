@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,6 +16,11 @@ from trialopt.domain import DesignPoint, Hypothesis
 from trialopt.montecarlo import mc_estimate
 from trialopt.simlib import (
     UnknownScenarioError,
+    _arm_level_layout,
+    _cluster_layout,
+    _cluster_rct_statistic,
+    _endpoint_pair_moments,
+    _endpoint_pair_sampler,
     _gl_unit_nodes,
     _t_crit_two_sided,
     _z_crit_two_sided,
@@ -388,3 +394,197 @@ def test_importing_cli_leaves_scipy_stats_unloaded():
                             text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# prepared draws against the per-replicate simulators they replaced
+# ---------------------------------------------------------------------------
+
+def old_two_arm_normal(x, hp, rng):
+    n = int(round(x["n"]))
+    if n < 2:
+        raise ValueError("per-arm n must be >= 2")
+    delta = float(hp["delta"])
+    sigma = float(hp["sigma"])
+    control = rng.normal(0.0, sigma, n)
+    treated = rng.normal(delta, sigma, n)
+    z = (treated.mean() - control.mean()) / (sigma * math.sqrt(2.0 / n))
+    return bool(abs(z) > _z_crit_two_sided(float(hp["alpha"])))
+
+
+def old_two_arm_binary(x, hp, rng):
+    n = int(round(x["n"]))
+    if n < 10:
+        raise ValueError("per-arm n must be >= 10")
+    x0 = rng.binomial(n, float(hp["p0"]))
+    x1 = rng.binomial(n, float(hp["p1"]))
+    pooled = (x0 + x1) / (2.0 * n)
+    se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+    if se == 0.0:
+        return False
+    z = (x1 - x0) / n / se
+    return bool(abs(z) > _z_crit_two_sided(float(hp["alpha"])))
+
+
+def old_cluster_rct_t(x, hp, rng):
+    """(t, df), t None when the pooled variance is not positive."""
+    k, n2, c, m_i, m_c = _cluster_layout(x)
+    beta0 = float(hp.get("beta0", 0.0))
+    beta1 = float(hp["beta1"])
+    st2 = float(hp["sigma_t2"])
+    sd2 = float(hp["sigma_d2"])
+    sw2 = float(hp["sigma_w2"])
+    a = (beta0 + beta1
+         + rng.normal(0.0, math.sqrt(st2), k)
+         + rng.normal(0.0, math.sqrt(sd2 / c), k)
+         + rng.normal(0.0, math.sqrt(sw2 / m_i), k))
+    b = (beta0
+         + rng.normal(0.0, math.sqrt(sd2), n2)
+         + rng.normal(0.0, math.sqrt(sw2 / m_c), n2))
+    df = k + n2 - 2
+    sp2 = ((k - 1) * a.var(ddof=1) + (n2 - 1) * b.var(ddof=1)) / df
+    if sp2 <= 0.0:
+        return None, df
+    return (a.mean() - b.mean()) / math.sqrt(sp2 * (1.0 / k + 1.0 / n2)), df
+
+
+def old_cluster_rct(x, hp, rng):
+    t, df = old_cluster_rct_t(x, hp, rng)
+    return t is not None and bool(abs(t) > _t_crit_two_sided(float(hp["alpha"]), df))
+
+
+def old_bivariate(rng, count, var, rho):
+    z = rng.standard_normal((count, 2))
+    out = np.empty_like(z)
+    out[:, 0] = z[:, 0]
+    out[:, 1] = rho * z[:, 0] + math.sqrt(max(0.0, 1.0 - rho * rho)) * z[:, 1]
+    return out * math.sqrt(var)
+
+
+def old_endpoint_pair_diff(x, hp, rng):
+    n1, k, d_arm, n0 = _arm_level_layout(x)
+    st2 = float(hp["sigma_t2"])
+    sd2 = float(hp["sigma_d2"])
+    sw2 = float(hp["sigma_w2"])
+    rho_t = float(hp["rho_t"])
+    rho_d = float(hp["rho_d"])
+    rho_w = float(hp["rho_w"])
+    m_i = n1 / k
+    u = old_bivariate(rng, k, st2, rho_t)
+    e_i = old_bivariate(rng, k, sw2 / m_i, rho_w)
+    w_arm = old_bivariate(rng, 1, sd2 / d_arm, rho_d)[0]
+    v_arm = old_bivariate(rng, 1, sd2 / d_arm, rho_d)[0]
+    e_c = old_bivariate(rng, 1, sw2 / n0, rho_w)[0]
+    return u.mean(axis=0) + e_i.mean(axis=0) + w_arm - v_arm - e_c
+
+
+def old_co_primary(x, hp, rng):
+    effects = np.array([float(hp["beta1_f"]), float(hp["beta1_d"])])
+    var, _ = _endpoint_pair_moments(x, hp)
+    z = (effects + old_endpoint_pair_diff(x, hp, rng)) / math.sqrt(var)
+    zc = _z_crit_two_sided(float(hp["alpha"]))
+    return bool(abs(z[0]) > zc and abs(z[1]) > zc)
+
+
+def old_pilot_either(x, hp, rng):
+    a = float(x["a"])
+    if not 0.0 < a < 0.5:
+        raise ValueError("nominal test size a must be in (0, 0.5)")
+    effects = np.array([float(hp["beta1_f"]), float(hp["beta1_d"])])
+    var, _ = _endpoint_pair_moments(x, hp)
+    z = (effects + old_endpoint_pair_diff(x, hp, rng)) / math.sqrt(var)
+    zc = float(ndtri(1.0 - a))
+    return bool(z[0] > zc or z[1] > zc)
+
+
+OLD_SIMULATORS = {
+    "two_arm_normal": old_two_arm_normal,
+    "two_arm_binary": old_two_arm_binary,
+    "cluster_rct": old_cluster_rct,
+    "co_primary": old_co_primary,
+    "pilot_either": old_pilot_either,
+}
+
+
+def criterion_12_points():
+    from test_acceptance import CROSS_VALIDATION_POINTS
+
+    for name, (alt_hp, null_hp, points, null_point) in CROSS_VALIDATION_POINTS.items():
+        for x, hp in [(x, alt_hp) for x in points] + [(null_point, null_hp)]:
+            yield name, x, hp
+
+
+# edge seeds of the 64-bit range, then the first few hundred
+DRAW_SEEDS = [2**32 - 1, 2**32, 2**64 - 1] + list(range(500))
+
+
+@pytest.mark.parametrize("name", sorted(OLD_SIMULATORS))
+def test_prepared_draw_matches_old_simulator_bitwise(name):
+    """Same decision on every seed at every criterion-12 point; for the
+    cluster and paired-endpoint scenarios also the same statistic, bit for
+    bit."""
+    for scenario_name, x, hp in criterion_12_points():
+        if scenario_name != name:
+            continue
+        draw = get_scenario(name).prepare(x, hp)
+        old = OLD_SIMULATORS[name]
+        for seed in DRAW_SEEDS:
+            assert draw(np.random.default_rng(seed)) == old(
+                x, hp, np.random.default_rng(seed)), (x, hp, seed)
+        if name == "cluster_rct":
+            t, df = _cluster_rct_statistic(x, hp)
+            for seed in DRAW_SEEDS:
+                old_t, old_df = old_cluster_rct_t(x, hp, np.random.default_rng(seed))
+                assert df == old_df and same_bits(t(np.random.default_rng(seed)), old_t)
+        if name in ("co_primary", "pilot_either"):
+            diff = _endpoint_pair_sampler(x, hp)
+            for seed in DRAW_SEEDS:
+                assert same_bits(diff(np.random.default_rng(seed)),
+                                 old_endpoint_pair_diff(x, hp, np.random.default_rng(seed)))
+
+
+PILOT_X = {"n1": 80, "k": 4, "r": 1.0, "j": 9, "a": 0.15}
+
+
+@pytest.mark.parametrize("name, x, hp, message", [
+    ("two_arm_normal", {"n": 1}, {"delta": 0.5, "sigma": 1.0, "alpha": 0.05},
+     "per-arm n must be >= 2"),
+    ("two_arm_binary", {"n": 9}, {"p0": 0.1, "p1": 0.25, "alpha": 0.05},
+     "per-arm n must be >= 10"),
+    ("cluster_rct", {"n": 100, "k": 1}, CLUSTER_HP, "at least 2 therapist clusters"),
+    ("cluster_rct", {"n": 10, "k": 10}, CLUSTER_HP, "at least 2 participants"),
+    ("cluster_rct", {"n": 100, "k": 10, "j": 21}, CLUSTER_HP, "even integer >= 4"),
+    ("cluster_rct", {"n": 100, "k": 2, "j": 2}, CLUSTER_HP, "even integer >= 4"),
+    ("cluster_rct", {"n": 100, "k": 10, "j": 10}, CLUSTER_HP, "at least one doctor"),
+    ("co_primary", {"n": 100, "k": 1}, CO_HP, "at least 2 therapist clusters"),
+    ("co_primary", {"n": 100, "k": 2, "j": 1}, CO_HP, "at least 2 doctors"),
+    ("co_primary", {"n": 10, "k": 10}, CO_HP, "at least 2 participants"),
+    ("pilot_either", dict(PILOT_X, a=0.5), PILOT_HP, r"a must be in \(0, 0.5\)"),
+    ("pilot_either", dict(PILOT_X, a=0.0), PILOT_HP, r"a must be in \(0, 0.5\)"),
+    ("pilot_either", dict(PILOT_X, k=1), PILOT_HP, "at least 2 therapist clusters"),
+    ("pilot_either", dict(PILOT_X, j=1), PILOT_HP, "at least 2 doctors"),
+    ("pilot_either", dict(PILOT_X, n1=7), PILOT_HP, "at least 2 participants"),
+    ("pilot_either", dict(PILOT_X, n1=8, r=0.2), PILOT_HP, "control arm needs"),
+])
+def test_prepare_raises_what_the_old_simulator_raised(name, x, hp, message):
+    with pytest.raises(ValueError, match=message):
+        OLD_SIMULATORS[name](x, hp, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        get_scenario(name).prepare(x, hp)
+
+
+def test_simulate_reuses_the_draw_prepared_for_the_same_values():
+    s = get_scenario("cluster_rct")
+    calls = []
+
+    def counting_prepare(x, hp):
+        calls.append(dict(x))
+        return s.prepare(x, hp)
+
+    counted = dataclasses.replace(s, prepare=counting_prepare)
+    a, b = {"n": 100, "k": 5}, {"n": 250, "k": 10}
+    for seed, x in enumerate([a, dict(a), b, a, a]):
+        assert counted.simulate(x, dict(CLUSTER_HP), np.random.default_rng(seed)) == (
+            old_cluster_rct(x, CLUSTER_HP, np.random.default_rng(seed)))
+    # equal values share a draw; each change of point prepares again
+    assert calls == [a, b, a]
