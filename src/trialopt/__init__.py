@@ -47,7 +47,7 @@ from .gp import (
     kernel,
     log_marginal_likelihood,
 )
-from .montecarlo import McEstimate, SimulationError, derive_replicate_seed, mc_estimate
+from .montecarlo import Batch, McEstimate, SimulationError, derive_replicate_seed, mc_estimate
 from .pareto import (
     ApproximationSet,
     dominates,

@@ -496,11 +496,13 @@ def _apply_overrides(raw: Mapping, seed=None, iterations=None, n_per_eval=None) 
 @contextmanager
 def _run_directory(out: Path, cfg: Mapping, history: Path | None = None):
     """Hold ``out`` for one command, locked before anything in it is written:
-    carry the evaluation log over from ``history`` when given, write
-    config.normalized and yield the evals.log record writer."""
+    carry the evaluation log over from ``history`` when given, into a
+    directory no other run has used, write config.normalized and yield the
+    evals.log record writer."""
     out.mkdir(parents=True, exist_ok=True)
     with RunLock(out):
         if history is not None:
+            _require_new_run_dir(out)
             shutil.copyfile(history, out / LOG_NAME)
         (out / CONFIG_NAME).write_text(canonical_dumps(cfg) + "\n")
         handle, write = record_writer(out / LOG_NAME)
@@ -508,6 +510,17 @@ def _run_directory(out: Path, cfg: Mapping, history: Path | None = None):
             yield write
         finally:
             handle.close()
+
+
+def _require_new_run_dir(out: Path) -> None:
+    """Refuse a directory that holds another run: its checkpoint would be
+    replaced and its evaluation log appended to or overwritten."""
+    if (out / CHECKPOINT_NAME).exists():
+        raise ConfigError(
+            [f"{out / CHECKPOINT_NAME} already exists; use 'resume' or a fresh "
+             "directory"]
+        )
+    _require_no_log(out)
 
 
 def _require_no_log(out: Path) -> None:
@@ -558,12 +571,7 @@ def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
                                             seed, iterations, n_per_eval))
     problem, sim = build_problem(cfg)
     out = Path(out_dir)
-    if (out / CHECKPOINT_NAME).exists():
-        raise ConfigError(
-            [f"{out / CHECKPOINT_NAME} already exists; use 'resume' or a fresh "
-             "directory"]
-        )
-    _require_no_log(out)
+    _require_new_run_dir(out)
     return _optimize(out, cfg, lambda write: engine.run(
         problem, sim, budget_from_config(cfg), pso=pso_from_config(cfg),
         seed=cfg["seed"], record_callback=write,
@@ -619,8 +627,9 @@ def cmd_resume(checkpoint: str, iterations: int = 0,
     problem, sim = build_problem(cfg)
 
     out = Path(out_dir) if out_dir else run_dir
-    # a new directory gets the history too, so its log stays complete
-    history = run_dir / LOG_NAME if out != run_dir else None
+    # a new directory gets the history too, so its log stays complete; one
+    # that holds another run is refused once it is locked
+    history = run_dir / LOG_NAME if out.resolve() != run_dir.resolve() else None
     return _optimize(out, cfg, lambda write: engine.resume_run(
         data, problem, sim, budget_from_config(cfg),
         pso=pso_from_config(cfg), iterations=iterations, record_callback=write,

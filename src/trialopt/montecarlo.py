@@ -10,10 +10,17 @@ with ``seed_i = derive_replicate_seed(master, eval_index, i)``, but
 replicate: the state that ``default_rng(seed_i)`` would start from is
 computed for a chunk of replicates at once, in array arithmetic that follows
 numpy's ``SeedSequence`` and ``PCG64`` seeding step for step.
+
+Simulation is batch-first. A simulator prepared at a point is a ``Batch``:
+each replicate's draws go into one row of a block, and the analysis decides
+the whole block in one array pass, so no per-replicate Python arithmetic is
+left beyond setting the state and drawing. A plain per-replicate callable
+is run through the same loop as a one-column batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,14 +33,19 @@ from .domain import EVENT_ACCEPT, DesignPoint, Hypothesis, mc_variance_of
 # receives the hypothesis as an argument. Which outcome an estimate counts is
 # the hypothesis' event, applied by ``mc_estimate``. The rng is reused and
 # reset between replicates, so a simulator must not keep it after it returns.
+# A simulator that also has ``prepare(point, hypothesis) -> Batch`` (as
+# ``Scenario.simulator`` gives) is estimated through that batch, a block of
+# replicates at a time, and is not called per replicate.
 TrialSimulator = Callable[[DesignPoint, Hypothesis, np.random.Generator], bool]
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
-# replicates whose generator states are derived together; bounds the memory
-# an estimate holds whatever its sample count
+# replicates whose generator states are derived together, and the most rows
+# a block holds; with _BLOCK_DOUBLES this bounds the memory an estimate holds
+# whatever its sample count and row size
 _CHUNK = 1024
+_BLOCK_DOUBLES = 16_384
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -50,6 +62,25 @@ class SimulationError(RuntimeError):
         super().__init__(message)
         self.replicate_index = replicate_index
         self.seed = seed
+
+
+@dataclass(frozen=True)
+class Batch:
+    """A simulator prepared at one design point under one hypothesis:
+    ``fill(rng, row)`` draws one replicate into a float64 row of ``shape``,
+    and ``decide(rows)`` gives the rejection indicators of a block of rows.
+    ``simlib.Scenario`` states what each must and must not do.
+    """
+
+    shape: tuple[int, ...]
+    fill: Callable[[np.random.Generator, np.ndarray], None]
+    decide: Callable[[np.ndarray], np.ndarray]
+
+    def replicate(self, rng: np.random.Generator) -> bool:
+        """One replicate, drawn from ``rng`` and decided as a one-row block."""
+        rows = np.empty((1, *self.shape))
+        self.fill(rng, rows[0])
+        return bool(self.decide(rows)[0])
 
 
 def _splitmix64(x):
@@ -146,6 +177,28 @@ class McEstimate:
     successes: int
 
 
+def _prepared(sim: TrialSimulator, point: DesignPoint, hypothesis: Hypothesis) -> Batch:
+    """``sim.prepare(point, hypothesis)``, or for a plain callable a
+    one-column batch whose row holds the callable's outcome."""
+    prepare = getattr(sim, "prepare", None)
+    if prepare is not None:
+        return prepare(point, hypothesis)
+
+    def fill(rng: np.random.Generator, row: np.ndarray) -> None:
+        row[0] = bool(sim(point, hypothesis, rng))
+
+    return Batch((1,), fill, lambda rows: rows[:, 0] != 0.0)
+
+
+def _failure(exc: Exception, seed: int, eval_index: int, i: int) -> SimulationError:
+    rep_seed = derive_replicate_seed(seed, eval_index, i)
+    return SimulationError(
+        f"simulator failed at replicate {i} (seed {rep_seed}): {exc}",
+        replicate_index=i,
+        seed=rep_seed,
+    )
+
+
 def mc_estimate(
     sim: TrialSimulator,
     point: DesignPoint,
@@ -161,37 +214,50 @@ def mc_estimate(
     Runs ``n_samples`` independent replicates in index order on one
     generator, reset before each replicate to the state of
     ``np.random.default_rng(derive_replicate_seed(seed, eval_index, i))``,
-    and returns the event fraction with the clamped binomial variance.
+    and returns the event fraction with the clamped binomial variance. The
+    simulator's ``Batch`` fills one row per replicate and decides a block
+    of at most ``_CHUNK`` rows and ``_BLOCK_DOUBLES`` values at a time.
     ``workers`` is kept only for its existing callers and does not change
     how replicates run (a thread pool over replicates measured no faster
     than one thread). A failing simulator raises SimulationError for the
-    earliest failing replicate, with the seed that reproduces it.
+    earliest failing replicate, with the seed that reproduces it: a failure
+    to prepare is replicate 0's, and a failing ``decide`` is reported at the
+    first replicate of its block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
+    try:
+        batch = _prepared(sim, point, hypothesis)
+    except Exception as exc:
+        raise _failure(exc, seed, eval_index, 0) from exc
+    fill = batch.fill
+    rows = max(1, min(_CHUNK, _BLOCK_DOUBLES // math.prod(batch.shape)))
+    block = np.empty((rows, *batch.shape))
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
     successes = 0
     for start in range(0, n_samples, _CHUNK):
         states = _pcg64_states(
             _replicate_seeds(seed, eval_index, start, min(start + _CHUNK, n_samples)))
-        for i, (state, inc) in enumerate(states, start):
-            bitgen.state = {"bit_generator": "PCG64",
-                            "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
+        for offset in range(0, len(states), rows):
+            part = states[offset:offset + rows]
+            first = start + offset
+            for j, (state, inc) in enumerate(part):
+                bitgen.state = {"bit_generator": "PCG64",
+                                "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+                try:
+                    fill(rng, block[j])
+                except SimulationError:
+                    raise
+                except Exception as exc:
+                    raise _failure(exc, seed, eval_index, first + j) from exc
             try:
-                outcome = sim(point, hypothesis, rng)
-            except SimulationError:
-                raise
+                decided = batch.decide(block[:len(part)])
             except Exception as exc:
-                rep_seed = derive_replicate_seed(seed, eval_index, i)
-                raise SimulationError(
-                    f"simulator failed at replicate {i} (seed {rep_seed}): {exc}",
-                    replicate_index=i,
-                    seed=rep_seed,
-                ) from exc
-            successes += bool(outcome)
+                raise _failure(exc, seed, eval_index, first) from exc
+            successes += int(np.count_nonzero(decided))
     if hypothesis.event == EVENT_ACCEPT:
         successes = n_samples - successes
 

@@ -1,7 +1,7 @@
 """Built-in trial scenarios with independent power oracles.
 
-Each scenario pairs a simulator (one replicate of data generation plus
-analysis, returning the rejection indicator) with an oracle computing the
+Each scenario pairs a simulator (data generation plus analysis, returning
+the rejection indicator of each replicate) with an oracle computing the
 true rejection probability in closed form or by numeric integration, so
 optimizer output can be verified against ground truth.
 
@@ -26,11 +26,9 @@ import numpy as np
 from scipy.special import gammaincinv, ndtr, ndtri, owens_t, stdtrit
 
 from .domain import DesignPoint, DesignSpace, Hypothesis
-from .montecarlo import TrialSimulator
+from .montecarlo import Batch, TrialSimulator
 
 Params = Mapping[str, float]
-# one replicate at a prepared point: the rejection indicator
-Draw = Callable[[np.random.Generator], bool]
 # design parameter name -> one value per design; a formula returns one column
 # per objective label
 Columns = Mapping[str, np.ndarray]
@@ -148,11 +146,20 @@ class Scenario:
     hypothesis parameters as name->value mappings. ``prepare(x, hp)`` does
     the work that depends only on the point: it checks the layout, raising
     ValueError for a design the scenario cannot simulate, parses the
-    parameters and computes constants such as critical values. It returns
-    ``draw(rng) -> bool``, one replicate of data generation plus analysis
-    that returns the rejection indicator and depends on ``x`` and ``hp``
-    only through what ``prepare`` computed; ``draw`` must not keep ``rng``.
-    ``simulate`` and ``simulator`` reuse the draw prepared for the last
+    parameters and computes constants such as critical values. It returns a
+    ``Batch(shape, fill, decide)`` that depends on ``x`` and ``hp`` only
+    through what ``prepare`` computed:
+
+    - ``fill(rng, row)`` writes one replicate's random draws into ``row``, a
+      float64 array of ``shape``, and must not keep ``rng``: the estimator
+      reuses one generator and resets it between replicates;
+    - ``decide(rows)`` analyses a block of m filled rows, shape
+      ``(m, *shape)``, in array operations and returns the m rejection
+      indicators. It must be row-wise: each row's decision from that row
+      alone, by the same arithmetic whatever m is (reduce along the row's
+      own axes only), and it must not change ``rows``.
+
+    ``simulate`` and ``simulator`` reuse the batch prepared for the last
     (design, hypothesis) values they saw.
 
     ``objective_formulas`` maps formula ids to (labels, fn) pairs usable
@@ -167,32 +174,41 @@ class Scenario:
     design_params: tuple[str, ...]
     optional_params: tuple[str, ...]
     hypothesis_params: tuple[str, ...]
-    prepare: Callable[[Params, Params], Draw]
+    prepare: Callable[[Params, Params], Batch]
     rejection_rate: Callable[[Params, Params], float]
     objective_formulas: Mapping[str, tuple[tuple[str, ...], Formula]] = field(
         default_factory=dict
     )
-    # ((design items, hypothesis items), draw) of the last point prepared;
-    # replaced whole, so a reader never pairs one point's key with another's draw
+    # ((design items, hypothesis items), batch) of the last point prepared;
+    # replaced whole, so a reader never pairs one point's key with another's batch
     _last: list = field(default_factory=lambda: [None], init=False, repr=False,
                         compare=False)
 
-    def simulate(self, x: Params, hp: Params, rng: np.random.Generator) -> bool:
-        """One replicate at design ``x`` under hypothesis parameters ``hp``."""
+    def _batch(self, x: Params, hp: Params) -> Batch:
         key = (tuple(x.items()), tuple(hp.items()))
         last = self._last[0]
         if last is None or last[0] != key:
             last = (key, self.prepare(x, hp))
             self._last[0] = last
-        return last[1](rng)
+        return last[1]
+
+    def simulate(self, x: Params, hp: Params, rng: np.random.Generator) -> bool:
+        """One replicate at design ``x`` under hypothesis parameters ``hp``."""
+        return self._batch(x, hp).replicate(rng)
 
     def simulator(self, space: DesignSpace) -> TrialSimulator:
-        """Adapt this scenario to the TrialSimulator contract for a space."""
+        """Adapt this scenario to the TrialSimulator contract for a space; the
+        callable's ``prepare(point, hypothesis)`` gives the batch that
+        ``mc_estimate`` runs."""
         names = space.names
 
-        def sim(point: DesignPoint, hypothesis: Hypothesis, rng: np.random.Generator) -> bool:
-            return self.simulate(dict(zip(names, point.coords)), hypothesis.params, rng)
+        def prepare(point: DesignPoint, hypothesis: Hypothesis) -> Batch:
+            return self._batch(dict(zip(names, point.coords)), hypothesis.params)
 
+        def sim(point: DesignPoint, hypothesis: Hypothesis, rng: np.random.Generator) -> bool:
+            return prepare(point, hypothesis).replicate(rng)
+
+        sim.prepare = prepare
         return sim
 
     def space_problems(self, space: DesignSpace) -> list[str]:
@@ -208,11 +224,16 @@ class Scenario:
         return problems
 
 
+def _standard_normal(rng: np.random.Generator, row: np.ndarray) -> None:
+    """The fill of every scenario whose draws are one standard normal vector."""
+    rng.standard_normal(out=row)
+
+
 # ---------------------------------------------------------------------------
 # two-arm z-test on continuous outcomes
 # ---------------------------------------------------------------------------
 
-def _two_arm_normal_prepare(x: Params, hp: Params) -> Draw:
+def _two_arm_normal_prepare(x: Params, hp: Params) -> Batch:
     n = int(round(x["n"]))
     if n < 2:
         raise ValueError("per-arm n must be >= 2")
@@ -221,12 +242,14 @@ def _two_arm_normal_prepare(x: Params, hp: Params) -> Draw:
     se = sigma * math.sqrt(2.0 / n)
     zc = _z_crit_two_sided(float(hp["alpha"]))
 
-    def draw(rng: np.random.Generator) -> bool:
-        control = rng.normal(0.0, sigma, n)
-        treated = rng.normal(delta, sigma, n)
-        return bool(abs((treated.mean() - control.mean()) / se) > zc)
+    def decide(z: np.ndarray) -> np.ndarray:
+        # a row is n control then n treated draws; sigma * z is the value
+        # rng.normal(0.0, sigma) gives (0.0 + sigma * z)
+        control = (sigma * z[:, :n]).mean(axis=1)
+        treated = (delta + sigma * z[:, n:]).mean(axis=1)
+        return np.abs((treated - control) / se) > zc
 
-    return draw
+    return Batch((2 * n,), _standard_normal, decide)
 
 
 def _two_arm_normal_oracle(x: Params, hp: Params) -> float:
@@ -243,7 +266,7 @@ def _two_arm_normal_oracle(x: Params, hp: Params) -> float:
 _BINARY_EXACT_LIMIT = 200
 
 
-def _two_arm_binary_prepare(x: Params, hp: Params) -> Draw:
+def _two_arm_binary_prepare(x: Params, hp: Params) -> Batch:
     n = int(round(x["n"]))
     if n < 10:
         raise ValueError("per-arm n must be >= 10")
@@ -251,16 +274,20 @@ def _two_arm_binary_prepare(x: Params, hp: Params) -> Draw:
     p1 = float(hp["p1"])
     zc = _z_crit_two_sided(float(hp["alpha"]))
 
-    def draw(rng: np.random.Generator) -> bool:
-        x0 = rng.binomial(n, p0)
-        x1 = rng.binomial(n, p1)
-        pooled = (x0 + x1) / (2.0 * n)
-        se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
-        if se == 0.0:
-            return False
-        return bool(abs((x1 - x0) / n / se) > zc)
+    def fill(rng: np.random.Generator, row: np.ndarray) -> None:
+        row[0] = rng.binomial(n, p0)
+        row[1] = rng.binomial(n, p1)
 
-    return draw
+    def decide(counts: np.ndarray) -> np.ndarray:
+        # counts below 2**53 are exact in float64, so the sums, differences
+        # and quotients round as the integer arithmetic does
+        x0, x1 = counts[:, 0], counts[:, 1]
+        pooled = (x0 + x1) / (2.0 * n)
+        se = np.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (se != 0.0) & (np.abs((x1 - x0) / n / se) > zc)
+
+    return Batch((2,), fill, decide)
 
 
 def _two_arm_binary_oracle(x: Params, hp: Params) -> float:
@@ -326,10 +353,11 @@ def _cluster_variances(x: Params, hp: Params) -> tuple[int, int, float, float]:
 
 def _cluster_rct_statistic(
     x: Params, hp: Params,
-) -> tuple[Callable[[np.random.Generator], float], int]:
-    """(t(rng), df): one replicate's pooled t statistic on the cluster means,
-    NaN (which rejects at no level) when the pooled variance is not positive,
-    and its degrees of freedom."""
+) -> tuple[tuple[int], Callable[[np.ndarray], np.ndarray], int]:
+    """(shape, t(rows), df): the shape of one replicate's standard normal
+    draws; the pooled t statistic on the cluster means of each row of a
+    block of draws, NaN (which rejects at no level) where the pooled
+    variance is not positive; and its degrees of freedom."""
     k, n2, c, m_i, m_c = _cluster_layout(x)
     beta0 = float(hp.get("beta0", 0.0))
     beta1 = float(hp["beta1"])
@@ -339,30 +367,31 @@ def _cluster_rct_statistic(
     intervention_mean = beta0 + beta1
     sds = [math.sqrt(st2), math.sqrt(sd2 / c), math.sqrt(sw2 / m_i),
            math.sqrt(sd2), math.sqrt(sw2 / m_c)]
-    # one draw of the five normal vectors, in their order: three of k for the
-    # intervention therapist-cluster means (therapist effect, own doctors,
-    # residual mean), two of n2 for the control doctor-cluster means;
-    # sd * z is the value rng.normal(0.0, sd) gives (0.0 + sd * z)
+    # a row is one draw of the five normal vectors, in their order: three of
+    # k for the intervention therapist-cluster means (therapist effect, own
+    # doctors, residual mean), two of n2 for the control doctor-cluster
+    # means; sd * z is the value rng.normal(0.0, sd) gives (0.0 + sd * z)
     scale = np.repeat(sds, [k, k, k, n2, n2])
     df = k + n2 - 2
     se_scale = 1.0 / k + 1.0 / n2
 
-    def t(rng: np.random.Generator) -> float:
-        e = rng.standard_normal(scale.size) * scale
-        a = intervention_mean + e[:k] + e[k:2 * k] + e[2 * k:3 * k]
-        b = beta0 + e[3 * k:3 * k + n2] + e[3 * k + n2:]
-        sp2 = ((k - 1) * a.var(ddof=1) + (n2 - 1) * b.var(ddof=1)) / df
-        if sp2 <= 0.0:
-            return math.nan
-        return (a.mean() - b.mean()) / math.sqrt(sp2 * se_scale)
+    def t(z: np.ndarray) -> np.ndarray:
+        e = z * scale
+        a = intervention_mean + e[:, :k] + e[:, k:2 * k] + e[:, 2 * k:3 * k]
+        b = beta0 + e[:, 3 * k:3 * k + n2] + e[:, 3 * k + n2:]
+        sp2 = ((k - 1) * a.var(axis=1, ddof=1) + (n2 - 1) * b.var(axis=1, ddof=1)) / df
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = (a.mean(axis=1) - b.mean(axis=1)) / np.sqrt(sp2 * se_scale)
+        stat[~(sp2 > 0.0)] = np.nan
+        return stat
 
-    return t, df
+    return scale.shape, t, df
 
 
-def _cluster_rct_prepare(x: Params, hp: Params) -> Draw:
-    t, df = _cluster_rct_statistic(x, hp)
+def _cluster_rct_prepare(x: Params, hp: Params) -> Batch:
+    shape, t, df = _cluster_rct_statistic(x, hp)
     tc = _t_crit_two_sided(float(hp["alpha"]), df)
-    return lambda rng: bool(abs(t(rng)) > tc)
+    return Batch(shape, _standard_normal, lambda z: np.abs(t(z)) > tc)
 
 
 def _cluster_rct_oracle(x: Params, hp: Params) -> float:
@@ -408,15 +437,18 @@ def _endpoint_pair_moments(x: Params, hp: Params) -> tuple[float, float]:
     return var, cov
 
 
-def _endpoint_pair_sampler(x: Params, hp: Params) -> Callable[[np.random.Generator], np.ndarray]:
-    """diff(rng): one draw of the two endpoints' arm-mean differences
-    (without effects).
+def _endpoint_pair_sampler(
+    x: Params, hp: Params,
+) -> tuple[tuple[int, int], Callable[[np.ndarray], np.ndarray]]:
+    """(shape, diff(rows)): the shape ``(2k + 3, 2)`` of one replicate's
+    standard normal draws, and the two endpoints' arm-mean differences
+    (without effects) of each replicate in a block of draws, one pair a row.
 
-    Rows of correlated endpoint pairs, each (z0, rho z0 + sqrt(1 - rho^2) z1)
-    scaled by its standard deviation: k therapist effects, k cluster residual
-    means, then one row each for the intervention doctors, the control
-    doctors and the control residual mean. All rows come from one
-    ``standard_normal((2k + 3, 2))`` draw.
+    A replicate's draws become correlated endpoint pairs, each
+    (z0, rho z0 + sqrt(1 - rho^2) z1) scaled by its standard deviation:
+    k therapist effects, k cluster residual means, then one pair each for
+    the intervention doctors, the control doctors and the control residual
+    mean.
     """
     n1, k, d_arm, n0 = _arm_level_layout(x)
     st2 = float(hp["sigma_t2"])
@@ -432,32 +464,30 @@ def _endpoint_pair_sampler(x: Params, hp: Params) -> Callable[[np.random.Generat
     rho = np.repeat([r for _, r in blocks], counts)
     root = np.repeat([math.sqrt(max(0.0, 1.0 - r * r)) for _, r in blocks], counts)
     scale = np.repeat([math.sqrt(v) for v, _ in blocks], counts)[:, None]
-    shape = (2 * k + 3, 2)
 
-    def diff(rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(shape)
-        z[:, 1] = rho * z[:, 0] + root * z[:, 1]
-        z *= scale
-        # the row blocks are views with the strides of separate (count, 2)
-        # arrays, so their means reduce in the same order
-        return (z[:k].mean(axis=0) + z[k:2 * k].mean(axis=0)
-                + z[2 * k] - z[2 * k + 1] - z[2 * k + 2])
+    def diff(z: np.ndarray) -> np.ndarray:
+        pairs = z.copy()
+        pairs[:, :, 1] = rho * z[:, :, 0] + root * z[:, :, 1]
+        pairs *= scale
+        # each mean adds its k pairs in order, as over a separate (k, 2) array
+        return (pairs[:, :k].mean(axis=1) + pairs[:, k:2 * k].mean(axis=1)
+                + pairs[:, 2 * k] - pairs[:, 2 * k + 1] - pairs[:, 2 * k + 2])
 
-    return diff
+    return (2 * k + 3, 2), diff
 
 
-def _co_primary_prepare(x: Params, hp: Params) -> Draw:
+def _co_primary_prepare(x: Params, hp: Params) -> Batch:
     effects = np.array([float(hp["beta1_f"]), float(hp["beta1_d"])])
     var, _ = _endpoint_pair_moments(x, hp)
-    pair_diff = _endpoint_pair_sampler(x, hp)
+    shape, pair_diff = _endpoint_pair_sampler(x, hp)
     se = math.sqrt(var)
     zc = _z_crit_two_sided(float(hp["alpha"]))
 
-    def draw(rng: np.random.Generator) -> bool:
-        z = (effects + pair_diff(rng)) / se
-        return bool(abs(z[0]) > zc and abs(z[1]) > zc)
+    def decide(z: np.ndarray) -> np.ndarray:
+        rejects = np.abs((effects + pair_diff(z)) / se) > zc
+        return rejects[:, 0] & rejects[:, 1]
 
-    return draw
+    return Batch(shape, _standard_normal, decide)
 
 
 def _co_primary_oracle(x: Params, hp: Params) -> float:
@@ -472,21 +502,21 @@ def _co_primary_oracle(x: Params, hp: Params) -> float:
 # small pilot: either endpoint, one-sided, nominal test size as design variable
 # ---------------------------------------------------------------------------
 
-def _pilot_either_prepare(x: Params, hp: Params) -> Draw:
+def _pilot_either_prepare(x: Params, hp: Params) -> Batch:
     a = float(x["a"])
     if not 0.0 < a < 0.5:
         raise ValueError("nominal test size a must be in (0, 0.5)")
     effects = np.array([float(hp["beta1_f"]), float(hp["beta1_d"])])
     var, _ = _endpoint_pair_moments(x, hp)
-    pair_diff = _endpoint_pair_sampler(x, hp)
+    shape, pair_diff = _endpoint_pair_sampler(x, hp)
     se = math.sqrt(var)
     zc = float(ndtri(1.0 - a))
 
-    def draw(rng: np.random.Generator) -> bool:
-        z = (effects + pair_diff(rng)) / se
-        return bool(z[0] > zc or z[1] > zc)
+    def decide(z: np.ndarray) -> np.ndarray:
+        rejects = (effects + pair_diff(z)) / se > zc
+        return rejects[:, 0] | rejects[:, 1]
 
-    return draw
+    return Batch(shape, _standard_normal, decide)
 
 
 def _pilot_either_oracle(x: Params, hp: Params) -> float:

@@ -396,14 +396,9 @@ def test_criterion_12_scenario_cross_validation():
         scenario = get_scenario(name)
         checks = [(x, alt_hp) for x in points] + [(null_point, null_hp)]
         for i, (x, hp) in enumerate(checks):
-            names = tuple(x)
-            hyp = Hypothesis("h", hp)
-
-            def sim(point, h, rng, _s=scenario, _names=names):
-                return _s.simulate(dict(zip(_names, point.coords)), h.params, rng)
-
-            est = mc_estimate(sim, DesignPoint(tuple(x.values())), hyp,
-                              n_samples, seed=5000 + i)
+            space = DesignSpace(tuple(Dimension(d, 0.0, 1e9) for d in x))
+            est = mc_estimate(scenario.simulator(space), DesignPoint(tuple(x.values())),
+                              Hypothesis("h", hp), n_samples, seed=5000 + i)
             oracle = scenario.rejection_rate(x, hp)
             se = math.sqrt(max(oracle * (1 - oracle), 1e-12) / n_samples)
             if abs(est.mean - oracle) >= 3 * se:

@@ -451,3 +451,33 @@ def test_linear_combination_objectives(tmp_path):
     assert rows[0][1] == "double_n"
     for row in rows[1:]:
         assert float(row[1]) == pytest.approx(2 * float(row[0]))
+
+
+def test_resume_out_refuses_a_directory_holding_another_run(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(cfg), "--out", str(a), "--seed", "7"]) == 0
+    assert main(["run", str(cfg), "--out", str(b), "--seed", "8"]) == 0
+    before = {p.name: p.read_bytes() for p in b.iterdir()}
+    capsys.readouterr()
+    assert main(["resume", str(a / "checkpoint.bin"), "--out", str(b),
+                 "--iterations", "0"]) == 2
+    assert "checkpoint.bin already exists" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in b.iterdir()} == before
+    # a killed run leaves its log without a checkpoint: refused as well
+    (b / "checkpoint.bin").unlink()
+    before.pop("checkpoint.bin")
+    assert main(["resume", str(a / "checkpoint.bin"), "--out", str(b),
+                 "--iterations", "0"]) == 2
+    assert "evals.log already exists" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in b.iterdir()} == before
+
+
+def test_resume_out_naming_the_run_directory_resumes_in_place(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "1"]) == 0
+    records = len((out / "evals.log").read_text().splitlines())
+    assert main(["resume", str(out / "checkpoint.bin"), "--out",
+                 str(tmp_path / "." / "out" / ".." / "out"), "--iterations", "1"]) == 0
+    assert len((out / "evals.log").read_text().splitlines()) > records

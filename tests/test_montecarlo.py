@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trialopt.domain import DesignPoint, Hypothesis, mc_variance_of
+from trialopt.domain import DesignPoint, DesignSpace, Dimension, Hypothesis, mc_variance_of
 from trialopt.montecarlo import (
     _CHUNK,
+    Batch,
     McEstimate,
     SimulationError,
     _pcg64_states,
@@ -41,12 +42,8 @@ def test_fair_coin_large_n():
 def test_two_arm_ztest_matches_analytic_power():
     from trialopt.simlib import get_scenario
     scenario = get_scenario("two_arm_normal")
-    space_names = ("n",)
+    sim = scenario.simulator(DesignSpace((Dimension("n", 10, 200, "integer"),)))
     hyp = Hypothesis("alt", {"delta": 0.5, "sigma": 1.0, "alpha": 0.05})
-
-    def sim(point, h, rng):
-        return scenario.simulate(dict(zip(space_names, point.coords)), h.params, rng)
-
     est = mc_estimate(sim, DesignPoint((63.0,)), hyp, 100_000, seed=11)
     oracle = scenario.rejection_rate({"n": 63}, hyp.params)
     assert oracle == pytest.approx(0.8013023941055797, abs=1e-12)
@@ -197,3 +194,91 @@ def test_estimate_across_chunks_equals_per_replicate_default_rng_loop():
     successes = sum(sim(POINT, HYP, np.random.default_rng(derive_replicate_seed(31, 5, i)))
                     for i in range(n))
     assert est.successes == successes
+
+
+# ---------------------------------------------------------------------------
+# the batch contract and the plain-callable adapter
+# ---------------------------------------------------------------------------
+
+def prepared(batch_of):
+    """A simulator whose ``prepare(point, hypothesis)`` is ``batch_of``."""
+    def sim(point, hyp, rng):
+        return batch_of(point, hyp).replicate(rng)
+
+    sim.prepare = batch_of
+    return sim
+
+
+def coin_batch(point, hyp):
+    def fill(rng, row):
+        row[:] = rng.random(3)
+
+    return Batch((3,), fill, lambda rows: rows.sum(axis=1) > 1.4)
+
+
+@pytest.mark.parametrize("n", [1, 7, _CHUNK, 2 * _CHUNK + 452])
+def test_plain_callable_and_prepared_simulator_agree(n):
+    from trialopt.simlib import get_scenario
+
+    cluster = get_scenario("cluster_rct").simulator(
+        DesignSpace((Dimension("n", 10, 500), Dimension("k", 2, 30))))
+    hyp = Hypothesis("h", {"beta1": 0.6, "sigma_t2": 0.19, "sigma_d2": 0.37,
+                           "sigma_w2": 3.29, "alpha": 0.05})
+    for sim, point in [(cluster, DesignPoint((250.0, 10.0))),
+                       (prepared(coin_batch), POINT)]:
+        plain = lambda p, h, rng, _sim=sim: _sim(p, h, rng)  # noqa: E731
+        assert not hasattr(plain, "prepare")
+        for seed in (0, 2**63 + 5):
+            assert mc_estimate(plain, point, hyp, n, seed=seed, eval_index=3) == (
+                mc_estimate(sim, point, hyp, n, seed=seed, eval_index=3))
+
+
+def test_fill_failure_reports_replicate_and_seed():
+    def batch_of(point, hyp):
+        def fill(rng, row):
+            row[0] = rng.random()
+            if row[0] < 0.002:
+                raise RuntimeError("boom")
+
+        return Batch((1,), fill, lambda rows: rows[:, 0] < 0.5)
+
+    first = next(i for i in range(3000)
+                 if np.random.default_rng(derive_replicate_seed(5, 2, i)).random() < 0.002)
+    with pytest.raises(SimulationError) as info:
+        mc_estimate(prepared(batch_of), POINT, HYP, 3000, seed=5, eval_index=2)
+    assert info.value.replicate_index == first
+    assert info.value.seed == derive_replicate_seed(5, 2, first)
+    assert f"replicate {first} " in str(info.value)
+
+
+def test_prepare_failure_is_reported_at_replicate_zero():
+    def batch_of(point, hyp):
+        raise ValueError("layout cannot be simulated")
+
+    with pytest.raises(SimulationError, match="layout cannot be simulated") as info:
+        mc_estimate(prepared(batch_of), POINT, HYP, 100, seed=8, eval_index=4)
+    assert info.value.replicate_index == 0
+    assert info.value.seed == derive_replicate_seed(8, 4, 0)
+
+
+def test_decide_failure_is_reported_at_the_first_replicate_of_its_block():
+    def batch_of(point, hyp):
+        def decide(rows):
+            if len(rows) < _CHUNK:
+                raise FloatingPointError("short block")
+            return rows[:, 0] > 0.5
+
+        return Batch((1,), lambda rng, row: None, decide)
+
+    # blocks of _CHUNK one-value rows: the third block is the first short one
+    with pytest.raises(SimulationError) as info:
+        mc_estimate(prepared(batch_of), POINT, HYP, 2 * _CHUNK + 10, seed=6)
+    assert info.value.replicate_index == 2 * _CHUNK
+    assert info.value.seed == derive_replicate_seed(6, 0, 2 * _CHUNK)
+
+
+def test_replicate_is_a_one_row_block():
+    batch = coin_batch(POINT, HYP)
+    rows = np.stack([np.random.default_rng(s).random(3) for s in range(50)])
+    assert [batch.replicate(np.random.default_rng(s)) for s in range(50)] == (
+        batch.decide(rows).tolist())

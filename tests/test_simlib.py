@@ -3,17 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import gammaincinv, ndtr, ndtri, stdtrit
 from scipy.stats import chi2, nct, norm
 from scipy.stats import t as student_t
 
 import trialopt
-from trialopt.domain import DesignPoint, Hypothesis
-from trialopt.montecarlo import mc_estimate
+from trialopt.domain import DesignPoint, DesignSpace, Dimension, Hypothesis
+from trialopt.montecarlo import _BLOCK_DOUBLES, _CHUNK, mc_estimate
 from trialopt.simlib import (
     UnknownScenarioError,
     _arm_level_layout,
@@ -43,13 +46,9 @@ PILOT_HP = {"beta1_f": 1.10, "beta1_d": 1.10, "rho_w": 0.9, "rho_t": 0.9,
 def mc_check(scenario_name, x, hp, n_samples=20_000, seed=123):
     """MC estimate of the rejection rate vs the scenario oracle, within 3 SE."""
     scenario = get_scenario(scenario_name)
-    names = tuple(x)
-    hyp = Hypothesis("h", hp)
-
-    def sim(point, h, rng):
-        return scenario.simulate(dict(zip(names, point.coords)), h.params, rng)
-
-    est = mc_estimate(sim, DesignPoint(tuple(x.values())), hyp, n_samples, seed=seed)
+    sim = scenario.simulator(DesignSpace(tuple(Dimension(d, 0.0, 1e9) for d in x)))
+    est = mc_estimate(sim, DesignPoint(tuple(x.values())), Hypothesis("h", hp),
+                      n_samples, seed=seed)
     oracle = scenario.rejection_rate(x, hp)
     se = math.sqrt(max(oracle * (1 - oracle), 1e-12) / n_samples)
     assert abs(est.mean - oracle) < 3 * se, (
@@ -325,7 +324,6 @@ def test_unknown_scenario_lists_known_names():
 
 
 def test_scenario_space_schema_check():
-    from trialopt.domain import DesignSpace, Dimension
     s = get_scenario("cluster_rct")
     good = DesignSpace((Dimension("n", 100, 500, "integer"),
                         Dimension("k", 3, 30, "integer")))
@@ -397,7 +395,7 @@ def test_importing_cli_leaves_scipy_stats_unloaded():
 
 
 # ---------------------------------------------------------------------------
-# prepared draws against the per-replicate simulators they replaced
+# prepared batches against the per-replicate simulators they replaced
 # ---------------------------------------------------------------------------
 
 def old_two_arm_normal(x, hp, rng):
@@ -518,29 +516,113 @@ def criterion_12_points():
 DRAW_SEEDS = [2**32 - 1, 2**32, 2**64 - 1] + list(range(500))
 
 
+def filled_rows(batch, seeds):
+    """One row per seed, filled from that seed's default_rng stream."""
+    rows = np.empty((len(seeds), *batch.shape))
+    for row, seed in zip(rows, seeds):
+        batch.fill(np.random.default_rng(seed), row)
+    return rows
+
+
+def old_statistic(name, x, hp, seed):
+    """The old simulator's statistic on one seed's stream: the cluster t (NaN
+    where the pooled variance is not positive) or the pair differences."""
+    rng = np.random.default_rng(seed)
+    if name == "cluster_rct":
+        t, _ = old_cluster_rct_t(x, hp, rng)
+        return math.nan if t is None else t
+    return old_endpoint_pair_diff(x, hp, rng)
+
+
+def statistic(name, x, hp):
+    """The batch form of ``old_statistic``: rows of draws -> one value a row."""
+    if name == "cluster_rct":
+        return _cluster_rct_statistic(x, hp)[1]
+    return _endpoint_pair_sampler(x, hp)[1]
+
+
 @pytest.mark.parametrize("name", sorted(OLD_SIMULATORS))
 def test_prepared_draw_matches_old_simulator_bitwise(name):
-    """Same decision on every seed at every criterion-12 point; for the
-    cluster and paired-endpoint scenarios also the same statistic, bit for
-    bit."""
+    """Deciding the stacked rows of every seed gives each seed's old decision
+    at every criterion-12 point; for the cluster and paired-endpoint
+    scenarios the statistics also match, bit for bit."""
     for scenario_name, x, hp in criterion_12_points():
         if scenario_name != name:
             continue
-        draw = get_scenario(name).prepare(x, hp)
+        batch = get_scenario(name).prepare(x, hp)
+        rows = filled_rows(batch, DRAW_SEEDS)
+        before = rows.copy()
         old = OLD_SIMULATORS[name]
-        for seed in DRAW_SEEDS:
-            assert draw(np.random.default_rng(seed)) == old(
-                x, hp, np.random.default_rng(seed)), (x, hp, seed)
+        want = [old(x, hp, np.random.default_rng(seed)) for seed in DRAW_SEEDS]
+        assert batch.decide(rows).tolist() == want, (x, hp)
+        assert same_bits(rows, before), "decide changed its rows"
         if name == "cluster_rct":
-            t, df = _cluster_rct_statistic(x, hp)
-            for seed in DRAW_SEEDS:
-                old_t, old_df = old_cluster_rct_t(x, hp, np.random.default_rng(seed))
-                assert df == old_df and same_bits(t(np.random.default_rng(seed)), old_t)
-        if name in ("co_primary", "pilot_either"):
-            diff = _endpoint_pair_sampler(x, hp)
-            for seed in DRAW_SEEDS:
-                assert same_bits(diff(np.random.default_rng(seed)),
-                                 old_endpoint_pair_diff(x, hp, np.random.default_rng(seed)))
+            shape, _, df = _cluster_rct_statistic(x, hp)
+            assert shape == batch.shape
+            assert df == old_cluster_rct_t(x, hp, np.random.default_rng(0))[1]
+        if name in ("cluster_rct", "co_primary", "pilot_either"):
+            got = statistic(name, x, hp)(rows)
+            assert same_bits(got, [old_statistic(name, x, hp, seed) for seed in DRAW_SEEDS])
+
+
+def test_cluster_statistic_is_nan_where_pooled_variance_vanishes():
+    # no variance components: every cluster mean equals its arm mean
+    hp = dict(CLUSTER_HP, sigma_t2=0.0, sigma_d2=0.0, sigma_w2=0.0)
+    x = {"n": 100, "k": 5}
+    batch = get_scenario("cluster_rct").prepare(x, hp)
+    rows = filled_rows(batch, range(4))
+    assert np.isnan(_cluster_rct_statistic(x, hp)[1](rows)).all()
+    assert not batch.decide(rows).any()
+    assert [old_cluster_rct(x, hp, np.random.default_rng(s)) for s in range(4)] == [False] * 4
+
+
+@given(which=st.integers(0, 24), seed=st.integers(0, 2**64 - 1),
+       cuts=st.lists(st.integers(1, 39), max_size=8))
+def test_decisions_do_not_depend_on_how_rows_are_blocked(which, seed, cuts):
+    """A block's decisions (and the cluster and paired statistics, bit for
+    bit) equal those of any split of it into smaller blocks."""
+    name, x, hp = list(criterion_12_points())[which]
+    batch = get_scenario(name).prepare(x, hp)
+    rows = filled_rows(batch, [(seed + i) % 2**64 for i in range(40)])
+    bounds = [0, *sorted(set(cuts)), 40]
+    parts = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+    singles = [rows[i:i + 1] for i in range(40)]
+    whole = batch.decide(rows).tolist()
+    for split in (parts, singles):
+        assert [d for part in split for d in batch.decide(part).tolist()] == whole
+    if name in ("cluster_rct", "co_primary", "pilot_either"):
+        stat = statistic(name, x, hp)
+        whole = stat(rows)
+        for split in (parts, singles):
+            assert same_bits(np.concatenate([stat(part) for part in split]), whole)
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of a call to ``fn``, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_rows_hold_one_capped_block():
+    """At n = 5000 a row is 10,000 doubles, so a block is one row. Beyond
+    what deriving the generator states takes (measured on a one-column plain
+    callable), the estimate holds its block and decide's temporaries, within
+    three capped blocks, not the _CHUNK rows an uncapped block would take
+    (80 MB here)."""
+    sim = get_scenario("two_arm_normal").simulator(
+        DesignSpace((Dimension("n", 2, 10_000, "integer"),)))
+    hyp = Hypothesis("h", {"delta": 0.05, "sigma": 1.0, "alpha": 0.05})
+    n_samples = 2 * _CHUNK + 5
+    wide = traced_peak(lambda: mc_estimate(sim, DesignPoint((5000.0,)), hyp,
+                                           n_samples, seed=1))
+    plain = traced_peak(lambda: mc_estimate(lambda p, h, rng: True, DesignPoint((5000.0,)),
+                                            hyp, n_samples, seed=1))
+    assert wide - plain <= 3 * _BLOCK_DOUBLES * 8, (wide, plain)
 
 
 PILOT_X = {"n1": 80, "k": 4, "r": 1.0, "j": 9, "a": 0.15}
@@ -586,5 +668,5 @@ def test_simulate_reuses_the_draw_prepared_for_the_same_values():
     for seed, x in enumerate([a, dict(a), b, a, a]):
         assert counted.simulate(x, dict(CLUSTER_HP), np.random.default_rng(seed)) == (
             old_cluster_rct(x, CLUSTER_HP, np.random.default_rng(seed)))
-    # equal values share a draw; each change of point prepares again
+    # equal values share a batch; each change of point prepares again
     assert calls == [a, b, a]
