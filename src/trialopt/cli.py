@@ -3,13 +3,13 @@ optimizations, run the fixed-design baseline, and emit machine-readable
 reports.
 
 A run directory contains: config.normalized (the effective config),
-evals.log (append-only, one JSON record per evaluation), pareto.csv,
-trajectory.csv, checkpoint.bin, report.txt and, after ``verify``,
-pareto_verified.csv. While a command works in it the directory also holds
-.lock; every command takes that lock before it writes anything, and a
-command that finds it held exits 2 without changing the directory. ``run``
-and ``baseline`` start only in a directory without evals.log, so one log
-never mixes two runs' records.
+evals.log (one JSON record per evaluation, in order; ``resume`` writes it
+afresh from the checkpoint's records), pareto.csv, trajectory.csv,
+checkpoint.bin, report.txt and, after ``verify``, pareto_verified.csv.
+While a command works in it the directory also holds .lock; every command
+takes that lock before it writes anything, and a command that finds it held
+exits 2 without changing the directory. ``run`` and ``baseline`` start only
+in a directory without evals.log, so one log never mixes two runs' records.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import hashlib
 import json
 import logging
 import os
-import shutil
 import sys
 import time
 from contextlib import contextmanager
@@ -365,9 +364,9 @@ class RunLock:
 
 
 def record_writer(log_path: Path):
-    """Append-only newline-delimited record log; flushed per record so a
-    crashed run loses at most one evaluation."""
-    handle = open(log_path, "a")
+    """A newline-delimited record log, started afresh at ``log_path``;
+    flushed per record so a crashed run loses at most one evaluation."""
+    handle = open(log_path, "w")
 
     def write(rec: EvaluationRecord):
         line = json.dumps({
@@ -494,27 +493,29 @@ def _apply_overrides(raw: Mapping, seed=None, iterations=None, n_per_eval=None) 
 
 
 @contextmanager
-def _run_directory(out: Path, cfg: Mapping, history: Path | None = None):
+def _run_directory(out: Path, cfg: Mapping,
+                   records: Sequence[EvaluationRecord] = (), new: bool = False):
     """Hold ``out`` for one command, locked before anything in it is written:
-    carry the evaluation log over from ``history`` when given, into a
-    directory no other run has used, write config.normalized and yield the
-    evals.log record writer."""
+    refuse it, when ``new``, if it holds another run; write config.normalized
+    and yield the writer of a fresh evals.log that starts with ``records`` (a
+    resume's checkpoint records, never those a killed command logged later)."""
     out.mkdir(parents=True, exist_ok=True)
     with RunLock(out):
-        if history is not None:
+        if new:
             _require_new_run_dir(out)
-            shutil.copyfile(history, out / LOG_NAME)
         (out / CONFIG_NAME).write_text(canonical_dumps(cfg) + "\n")
         handle, write = record_writer(out / LOG_NAME)
         try:
+            for rec in records:
+                write(rec)
             yield write
         finally:
             handle.close()
 
 
 def _require_new_run_dir(out: Path) -> None:
-    """Refuse a directory that holds another run: its checkpoint would be
-    replaced and its evaluation log appended to or overwritten."""
+    """Refuse a directory that holds another run: its checkpoint and its
+    evaluation log would be replaced."""
     if (out / CHECKPOINT_NAME).exists():
         raise ConfigError(
             [f"{out / CHECKPOINT_NAME} already exists; use 'resume' or a fresh "
@@ -525,25 +526,25 @@ def _require_new_run_dir(out: Path) -> None:
 
 def _require_no_log(out: Path) -> None:
     """Refuse a directory whose evals.log an earlier command left: a new run
-    would append its records to that log."""
+    would replace that log with its own records."""
     if (out / LOG_NAME).exists():
         raise ConfigError(
-            [f"{out / LOG_NAME} already exists; a new run would append to it: "
+            [f"{out / LOG_NAME} already exists; a new run would replace it: "
              "use a fresh directory"]
         )
 
 
-def _optimize(out: Path, cfg: Mapping, step, history: Path | None = None) -> int:
+def _optimize(out: Path, cfg: Mapping, step, records=(), new=False) -> int:
     """Run ``step(record_callback)``, which calls ``engine.run`` or
-    ``engine.resume_run``, in the run directory ``out``, then write the
-    checkpoint, stamped with the config hash, and every output.
+    ``engine.resume_run``, in ``_run_directory(out, cfg, records, new)``,
+    then write the checkpoint, stamped with the config hash, and every output.
 
     An aborted step still leaves a resumable checkpoint of the state it
     reached, and returns 1.
     """
     cfg_hash = config_hash(cfg)
     checkpoint = out / CHECKPOINT_NAME
-    with _run_directory(out, cfg, history) as write:
+    with _run_directory(out, cfg, records, new) as write:
         t0 = time.perf_counter()
         try:
             state = step(write)
@@ -570,12 +571,10 @@ def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
     cfg = normalize_config(_apply_overrides(load_config(config_path),
                                             seed, iterations, n_per_eval))
     problem, sim = build_problem(cfg)
-    out = Path(out_dir)
-    _require_new_run_dir(out)
-    return _optimize(out, cfg, lambda write: engine.run(
+    return _optimize(Path(out_dir), cfg, lambda write: engine.run(
         problem, sim, budget_from_config(cfg), pso=pso_from_config(cfg),
         seed=cfg["seed"], record_callback=write,
-    ))
+    ), new=True)
 
 
 def _parse_nominals(pairs: Sequence[str]) -> dict[str, float]:
@@ -627,13 +626,10 @@ def cmd_resume(checkpoint: str, iterations: int = 0,
     problem, sim = build_problem(cfg)
 
     out = Path(out_dir) if out_dir else run_dir
-    # a new directory gets the history too, so its log stays complete; one
-    # that holds another run is refused once it is locked
-    history = run_dir / LOG_NAME if out.resolve() != run_dir.resolve() else None
     return _optimize(out, cfg, lambda write: engine.resume_run(
         data, problem, sim, budget_from_config(cfg),
         pso=pso_from_config(cfg), iterations=iterations, record_callback=write,
-    ), history)
+    ), data.records, new=out.resolve() != run_dir.resolve())
 
 
 def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -434,7 +435,9 @@ class CheckpointData:
 
 def save_checkpoint(state: RunState, path: str | Path,
                     config_hash: str | None = None) -> None:
-    """Serialize the run state; floats survive the JSON round trip bit-exactly."""
+    """Serialize the run state; floats survive the JSON round trip bit-exactly.
+    Atomic: a temporary file beside ``path`` is synced to disk, then replaces
+    it; the temporary file is removed if any step fails."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -460,7 +463,17 @@ def save_checkpoint(state: RunState, path: str | Path,
             for r in state.records
         ],
     }
-    Path(path).write_bytes(json.dumps(doc).encode("utf-8"))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(doc).encode("utf-8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> CheckpointData:

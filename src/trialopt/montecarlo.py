@@ -11,11 +11,11 @@ replicate: the state that ``default_rng(seed_i)`` would start from is
 computed for a chunk of replicates at once, in array arithmetic that follows
 numpy's ``SeedSequence`` and ``PCG64`` seeding step for step.
 
-Simulation is batch-first. A simulator prepared at a point is a ``Batch``:
-each replicate's draws go into one row of a block, and the analysis decides
-the whole block in one array pass, so no per-replicate Python arithmetic is
-left beyond setting the state and drawing. A plain per-replicate callable
-is run through the same loop as a one-column batch.
+Simulation is batch-first. A simulator is called once per estimate and
+returns the ``Batch`` of its design point: each replicate's draws go into
+one row of a block, and the analysis decides the whole block in one array
+pass, so no per-replicate Python arithmetic is left beyond setting the state
+and drawing.
 """
 
 from __future__ import annotations
@@ -27,16 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .domain import EVENT_ACCEPT, DesignPoint, Hypothesis, mc_variance_of
-
-# A trial simulator: pure given the rng stream, returns True when the trial
-# rejects its null hypothesis. One simulator serves every hypothesis: it
-# receives the hypothesis as an argument. Which outcome an estimate counts is
-# the hypothesis' event, applied by ``mc_estimate``. The rng is reused and
-# reset between replicates, so a simulator must not keep it after it returns.
-# A simulator that also has ``prepare(point, hypothesis) -> Batch`` (as
-# ``Scenario.simulator`` gives) is estimated through that batch, a block of
-# replicates at a time, and is not called per replicate.
-TrialSimulator = Callable[[DesignPoint, Hypothesis, np.random.Generator], bool]
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -66,7 +56,7 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Batch:
-    """A simulator prepared at one design point under one hypothesis:
+    """What a simulator gives for one design point under one hypothesis:
     ``fill(rng, row)`` draws one replicate into a float64 row of ``shape``,
     and ``decide(rows)`` gives the rejection indicators of a block of rows.
     ``simlib.Scenario`` states what each must and must not do.
@@ -76,11 +66,11 @@ class Batch:
     fill: Callable[[np.random.Generator, np.ndarray], None]
     decide: Callable[[np.ndarray], np.ndarray]
 
-    def replicate(self, rng: np.random.Generator) -> bool:
-        """One replicate, drawn from ``rng`` and decided as a one-row block."""
-        rows = np.empty((1, *self.shape))
-        self.fill(rng, rows[0])
-        return bool(self.decide(rows)[0])
+
+# The one simulator contract: called once per estimate, it returns the Batch
+# of the design point under the hypothesis; which outcome an estimate counts
+# is the hypothesis' event, applied by ``mc_estimate``.
+TrialSimulator = Callable[[DesignPoint, Hypothesis], Batch]
 
 
 def _splitmix64(x):
@@ -156,11 +146,12 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
         hash_const = (hash_const * _MULT_B) & 0xFFFFFFFF
         value = value * hash_const
         out.append((value ^ (value >> 16)).astype(np.uint64))
-    # 64-bit words are little-endian pairs of 32-bit words
-    state_words = np.stack([out[2 * i] | (out[2 * i + 1] << 32) for i in range(4)], axis=1)
+    # 64-bit words are little-endian pairs of 32-bit words; one list per word
+    # holds less memory than a small list per seed
+    state_words = [(out[2 * i] | (out[2 * i + 1] << 32)).tolist() for i in range(4)]
 
     states = []
-    for init_hi, init_lo, seq_hi, seq_lo in state_words.tolist():
+    for init_hi, init_lo, seq_hi, seq_lo in zip(*state_words):
         inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
         state = ((inc + ((init_hi << 64) | init_lo)) * _PCG_MULT + inc) & _MASK128
         states.append((state, inc))
@@ -175,19 +166,6 @@ class McEstimate:
     variance: float
     n_samples: int
     successes: int
-
-
-def _prepared(sim: TrialSimulator, point: DesignPoint, hypothesis: Hypothesis) -> Batch:
-    """``sim.prepare(point, hypothesis)``, or for a plain callable a
-    one-column batch whose row holds the callable's outcome."""
-    prepare = getattr(sim, "prepare", None)
-    if prepare is not None:
-        return prepare(point, hypothesis)
-
-    def fill(rng: np.random.Generator, row: np.ndarray) -> None:
-        row[0] = bool(sim(point, hypothesis, rng))
-
-    return Batch((1,), fill, lambda rows: rows[:, 0] != 0.0)
 
 
 def _failure(exc: Exception, seed: int, eval_index: int, i: int) -> SimulationError:
@@ -215,20 +193,22 @@ def mc_estimate(
     generator, reset before each replicate to the state of
     ``np.random.default_rng(derive_replicate_seed(seed, eval_index, i))``,
     and returns the event fraction with the clamped binomial variance. The
-    simulator's ``Batch`` fills one row per replicate and decides a block
-    of at most ``_CHUNK`` rows and ``_BLOCK_DOUBLES`` values at a time.
-    ``workers`` is kept only for its existing callers and does not change
-    how replicates run (a thread pool over replicates measured no faster
-    than one thread). A failing simulator raises SimulationError for the
-    earliest failing replicate, with the seed that reproduces it: a failure
-    to prepare is replicate 0's, and a failing ``decide`` is reported at the
-    first replicate of its block.
+    Batch that ``sim(point, hypothesis)`` returns fills one row per
+    replicate and decides a block of at most ``_CHUNK`` rows and
+    ``_BLOCK_DOUBLES`` values at a time. ``workers`` is kept only for its
+    existing callers and does not change how replicates run (a thread pool
+    over replicates measured no faster than one thread). A failing simulator raises SimulationError for the
+    earliest failing replicate, with the seed that reproduces it: a failing
+    call of ``sim``, or one that returns no Batch, is replicate 0's, and a
+    failing ``decide`` is reported at the first replicate of its block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
     try:
-        batch = _prepared(sim, point, hypothesis)
+        batch = sim(point, hypothesis)
+        if not isinstance(batch, Batch):
+            raise TypeError(f"a simulator must return a Batch, not {type(batch).__name__}")
     except Exception as exc:
         raise _failure(exc, seed, eval_index, 0) from exc
     fill = batch.fill
@@ -237,27 +217,28 @@ def mc_estimate(
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
     successes = 0
+    filled = 0  # rows of the block drawn and not yet decided
     for start in range(0, n_samples, _CHUNK):
-        states = _pcg64_states(
-            _replicate_seeds(seed, eval_index, start, min(start + _CHUNK, n_samples)))
-        for offset in range(0, len(states), rows):
-            part = states[offset:offset + rows]
-            first = start + offset
-            for j, (state, inc) in enumerate(part):
-                bitgen.state = {"bit_generator": "PCG64",
-                                "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
-                try:
-                    fill(rng, block[j])
-                except SimulationError:
-                    raise
-                except Exception as exc:
-                    raise _failure(exc, seed, eval_index, first + j) from exc
+        # unnamed, so a chunk's states are freed before the next chunk's are derived
+        for i, (state, inc) in enumerate(_pcg64_states(_replicate_seeds(
+                seed, eval_index, start, min(start + _CHUNK, n_samples))), start):
+            bitgen.state = {"bit_generator": "PCG64",
+                            "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
             try:
-                decided = batch.decide(block[:len(part)])
+                fill(rng, block[filled])
+            except SimulationError:
+                raise
             except Exception as exc:
-                raise _failure(exc, seed, eval_index, first) from exc
-            successes += int(np.count_nonzero(decided))
+                raise _failure(exc, seed, eval_index, i) from exc
+            filled += 1
+            if filled == rows or i == n_samples - 1:
+                try:
+                    decided = batch.decide(block[:filled])
+                except Exception as exc:
+                    raise _failure(exc, seed, eval_index, i + 1 - filled) from exc
+                successes += int(np.count_nonzero(decided))
+                filled = 0
     if hypothesis.event == EVENT_ACCEPT:
         successes = n_samples - successes
 

@@ -159,8 +159,9 @@ class Scenario:
       alone, by the same arithmetic whatever m is (reduce along the row's
       own axes only), and it must not change ``rows``.
 
-    ``simulate`` and ``simulator`` reuse the batch prepared for the last
-    (design, hypothesis) values they saw.
+    ``simulator(space)`` gives the scenario as a ``TrialSimulator``, the one
+    simulator contract, a function of (point, hypothesis) returning a Batch;
+    a custom trial plugs in through ``register_scenario`` or as such a function.
 
     ``objective_formulas`` maps formula ids to (labels, fn) pairs usable
     from configs; ``fn`` receives a name->column mapping, one array of m
@@ -179,36 +180,15 @@ class Scenario:
     objective_formulas: Mapping[str, tuple[tuple[str, ...], Formula]] = field(
         default_factory=dict
     )
-    # ((design items, hypothesis items), batch) of the last point prepared;
-    # replaced whole, so a reader never pairs one point's key with another's batch
-    _last: list = field(default_factory=lambda: [None], init=False, repr=False,
-                        compare=False)
-
-    def _batch(self, x: Params, hp: Params) -> Batch:
-        key = (tuple(x.items()), tuple(hp.items()))
-        last = self._last[0]
-        if last is None or last[0] != key:
-            last = (key, self.prepare(x, hp))
-            self._last[0] = last
-        return last[1]
-
-    def simulate(self, x: Params, hp: Params, rng: np.random.Generator) -> bool:
-        """One replicate at design ``x`` under hypothesis parameters ``hp``."""
-        return self._batch(x, hp).replicate(rng)
 
     def simulator(self, space: DesignSpace) -> TrialSimulator:
-        """Adapt this scenario to the TrialSimulator contract for a space; the
-        callable's ``prepare(point, hypothesis)`` gives the batch that
-        ``mc_estimate`` runs."""
+        """This scenario as the TrialSimulator of a space: ``prepare`` at a
+        point's design values and a hypothesis' parameters."""
         names = space.names
 
-        def prepare(point: DesignPoint, hypothesis: Hypothesis) -> Batch:
-            return self._batch(dict(zip(names, point.coords)), hypothesis.params)
+        def sim(point: DesignPoint, hypothesis: Hypothesis) -> Batch:
+            return self.prepare(dict(zip(names, point.coords)), hypothesis.params)
 
-        def sim(point: DesignPoint, hypothesis: Hypothesis, rng: np.random.Generator) -> bool:
-            return prepare(point, hypothesis).replicate(rng)
-
-        sim.prepare = prepare
         return sim
 
     def space_problems(self, space: DesignSpace) -> list[str]:

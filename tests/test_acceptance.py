@@ -24,7 +24,7 @@ from trialopt.domain import (
 )
 from trialopt.engine import BudgetConfig, fixed_design_search, run, sobol_points
 from trialopt.gp import KernelParams, build_model, gp_predict, log_marginal_likelihood
-from trialopt.montecarlo import mc_estimate
+from trialopt.montecarlo import Batch, mc_estimate
 from trialopt.pareto import ApproximationSet, dominates, hypervolume
 from trialopt.simlib import get_scenario
 
@@ -128,8 +128,11 @@ def test_criterion_05_mc_calibration_and_worker_invariance():
     q = 0.3
     point, hyp = DesignPoint((1.0,)), Hypothesis("h", {})
 
-    def sim(point, hyp, rng):
-        return bool(rng.random() < q)
+    def sim(point, hyp):
+        def fill(rng, row):
+            row[0] = rng.random()
+
+        return Batch((1,), fill, lambda rows: rows[:, 0] < q)
 
     hits = 0
     for i in range(1000):
@@ -240,8 +243,8 @@ def test_criterion_08_trajectory_properties():
                 pso=PsoConfig(swarm_size=16, iterations=40), seed=3)
     recorded_ok = len(noisy.trajectory) == 8 + 1
 
-    def always_reject(point, hyp, rng):
-        return True
+    def always_reject(point, hyp):
+        return Batch((1,), lambda rng, row: None, lambda rows: np.ones(len(rows), dtype=bool))
 
     relaxed = Problem(problem.space, problem.objectives,
                       (Constraint("typeII", "alt", nominal=0.5, confidence=0.9),),

@@ -218,6 +218,22 @@ def test_run_then_resume_matches_straight_run(tmp_path):
     assert read_csv(out_short / "trajectory.csv") == read_csv(out_long / "trajectory.csv")
 
 
+def test_resume_drops_records_logged_after_the_checkpoint(tmp_path):
+    cfg = write_config(tmp_path)
+    straight, out = tmp_path / "straight", tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(straight)]) == 0
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "2"]) == 0
+    # a resume killed before its checkpoint leaves the records it logged
+    with open(out / "evals.log", "a") as fh:
+        fh.write((straight / "evals.log").read_text().splitlines(keepends=True)[-1])
+    moved = tmp_path / "moved"
+    assert main(["resume", str(out / "checkpoint.bin"), "--out", str(moved),
+                 "--iterations", "1"]) == 0
+    assert main(["resume", str(out / "checkpoint.bin"), "--iterations", "1"]) == 0
+    for resumed in (moved, out):
+        assert (resumed / "evals.log").read_bytes() == (straight / "evals.log").read_bytes()
+
+
 def test_resume_with_relaxed_bound_needs_no_new_simulation(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from trialopt.engine import (
     save_checkpoint,
     sobol_points,
 )
+from trialopt.montecarlo import Batch
 from trialopt.pareto import hypervolume
 from trialopt.simlib import get_scenario
 
@@ -93,14 +95,15 @@ def test_simulator_calls_per_hypothesis():
         hyps = problem.constrained_hypotheses
         seen = []
 
-        def counting(point, hyp, rng):
+        def counting(point, hyp):
             seen.append(hyp)
-            return sim(point, hyp, rng)
+            return sim(point, hyp)
 
         state = run(problem, counting, BudgetConfig(iterations=3, n_per_eval=40,
                                                     initial_points=6),
                     pso=FAST_PSO, seed=2)
-        assert len(seen) == (6 + 3) * 40 * len(hyps)
+        # one call per estimate, which prepares the batch of its 40 replicates
+        assert len(seen) == (6 + 3) * len(hyps)
         assert state.total_samples == (6 + 3) * 40 * len(hyps)
         # one simulator receives each constrained hypothesis itself
         assert {h.name: h for h in seen} == {n: problem.hypotheses[n] for n in hyps}
@@ -137,8 +140,9 @@ def test_worker_invariance_of_run():
 def test_noise_free_always_reject_trajectory_non_decreasing():
     problem, _ = analytic_problem(nominal=0.5)
 
-    def always_reject(point, hyp, rng):
-        return True  # the "accept" event therefore never occurs
+    def always_reject(point, hyp):
+        # the "accept" event therefore never occurs
+        return Batch((1,), lambda rng, row: None, lambda rows: np.ones(len(rows), dtype=bool))
 
     state = run(problem, always_reject,
                 BudgetConfig(iterations=10, n_per_eval=100, initial_points=6),
@@ -207,6 +211,24 @@ def test_checkpoint_roundtrip_identity(tmp_path):
     assert resumed.trajectory == state.trajectory
     assert resumed.params == state.params
     assert resumed.approx_set == state.approx_set
+
+
+def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    problem, sim = analytic_problem()
+    budget = BudgetConfig(iterations=1, n_per_eval=30, initial_points=6)
+    state = run(problem, sim, budget, pso=FAST_PSO, seed=8)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(state, path, config_hash="old")
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_checkpoint(state, path, config_hash="new")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
 
 def test_resume_equals_straight_run(tmp_path):
@@ -287,8 +309,11 @@ def test_load_checkpoint_errors(tmp_path):
 def test_fixed_design_confidence_half_collapses_to_raw_estimate():
     problem, _ = analytic_problem(nominal=0.5)
 
-    def coin(point, hyp, rng):
-        return bool(rng.random() < 0.5)
+    def coin(point, hyp):
+        def fill(rng, row):
+            row[0] = rng.random()
+
+        return Batch((1,), fill, lambda rows: rows[:, 0] < 0.5)
 
     aset, records = fixed_design_search(problem, coin, count=30, n_samples=51,
                                         confidence=0.5, seed=6)
@@ -306,8 +331,9 @@ def test_fixed_design_confidence_half_collapses_to_raw_estimate():
 def test_fixed_design_all_infeasible_gives_empty_set():
     problem, _ = analytic_problem(nominal=0.2)
 
-    def never_reject(point, hyp, rng):
-        return False  # the tallied "accept" event always occurs: estimate 1
+    def never_reject(point, hyp):
+        # the tallied "accept" event always occurs: estimate 1
+        return Batch((1,), lambda rng, row: None, lambda rows: np.zeros(len(rows), dtype=bool))
 
     aset, _ = fixed_design_search(problem, never_reject, count=20, n_samples=200,
                                   seed=3)

@@ -19,12 +19,21 @@ POINT = DesignPoint((1.0,))
 HYP = Hypothesis("h", {})
 
 
-def always_true(point, hyp, rng):
-    return True
+def every_row(rows):
+    """A ``decide`` that rejects in every replicate."""
+    return np.ones(len(rows), dtype=bool)
 
 
-def fair_coin(point, hyp, rng):
-    return bool(rng.random() < 0.5)
+def always_true(point, hyp):
+    return Batch((1,), lambda rng, row: None, every_row)
+
+
+def one_uniform(rng, row):
+    row[0] = rng.random()
+
+
+def fair_coin(point, hyp):
+    return Batch((1,), one_uniform, lambda rows: rows[:, 0] < 0.5)
 
 
 def test_constant_simulator():
@@ -69,8 +78,8 @@ def test_interval_coverage_calibration():
     # 1000 estimates at N=1000 of a q=0.3 Bernoulli; 1.96-SE coverage ~95%
     q = 0.3
 
-    def sim(point, hyp, rng):
-        return bool(rng.random() < q)
+    def sim(point, hyp):
+        return Batch((1,), one_uniform, lambda rows: rows[:, 0] < q)
 
     hits = 0
     for i in range(1000):
@@ -95,10 +104,12 @@ def test_se_scaling_on_clamped_formula():
 
 
 def test_simulator_failure_reports_replicate_and_seed():
-    def flaky(point, hyp, rng):
-        if rng.random() < 0.01:
-            raise RuntimeError("boom")
-        return True
+    def flaky(point, hyp):
+        def fill(rng, row):
+            if rng.random() < 0.01:
+                raise RuntimeError("boom")
+
+        return Batch((1,), fill, every_row)
 
     with pytest.raises(SimulationError) as info:
         mc_estimate(flaky, POINT, HYP, 2000, seed=5)
@@ -108,14 +119,16 @@ def test_simulator_failure_reports_replicate_and_seed():
     # the stored seed reproduces the failure
     rng = np.random.default_rng(err.seed)
     with pytest.raises(RuntimeError):
-        flaky(POINT, HYP, rng)
+        flaky(POINT, HYP).fill(rng, np.empty(1))
 
 
 def test_simulator_failure_deterministic_across_workers():
-    def flaky(point, hyp, rng):
-        if rng.random() < 0.005:
-            raise RuntimeError("boom")
-        return True
+    def flaky(point, hyp):
+        def fill(rng, row):
+            if rng.random() < 0.005:
+                raise RuntimeError("boom")
+
+        return Batch((1,), fill, every_row)
 
     indices = set()
     for workers in (1, 4):
@@ -149,9 +162,11 @@ def test_edge_seed_states_equal_default_rng():
 def test_state_set_for_each_replicate_equals_default_rng():
     states = []
 
-    def record(point, hyp, rng):
-        states.append(pcg64_state(rng))
-        return True
+    def record(point, hyp):
+        def fill(rng, row):
+            states.append(pcg64_state(rng))
+
+        return Batch((1,), fill, every_row)
 
     mc_estimate(record, POINT, HYP, 1000, seed=2**40 + 3, eval_index=17)
     assert states == [
@@ -172,11 +187,13 @@ def test_vectorised_seeds_equal_scalar_reference(master, eval_index, chunk, size
 def test_buffered_uint32_does_not_leak_into_the_next_replicate():
     draws = []
 
-    def odd_int32(point, hyp, rng):
-        # three 32-bit draws leave half of a 64-bit output buffered
-        draws.append(rng.integers(0, 2**31 - 1, size=3, dtype=np.int32).tolist()
-                     + [rng.random()])
-        return True
+    def odd_int32(point, hyp):
+        def fill(rng, row):
+            # three 32-bit draws leave half of a 64-bit output buffered
+            draws.append(rng.integers(0, 2**31 - 1, size=3, dtype=np.int32).tolist()
+                         + [rng.random()])
+
+        return Batch((1,), fill, every_row)
 
     mc_estimate(odd_int32, POINT, HYP, 50, seed=9)
     for i, got in enumerate(draws):
@@ -186,52 +203,25 @@ def test_buffered_uint32_does_not_leak_into_the_next_replicate():
 
 
 def test_estimate_across_chunks_equals_per_replicate_default_rng_loop():
-    def sim(point, hyp, rng):
+    def sim(point, hyp):
+        def fill(rng, row):
+            row[:] = rng.normal(0.3, 1.0, 4)
+
+        return Batch((4,), fill, lambda rows: rows.mean(axis=1) > 0.25)
+
+    def reject(rng):
         return bool(rng.normal(0.3, 1.0, 4).mean() > 0.25)
 
     n = 2 * _CHUNK + 452
     est = mc_estimate(sim, POINT, HYP, n, seed=31, eval_index=5)
-    successes = sum(sim(POINT, HYP, np.random.default_rng(derive_replicate_seed(31, 5, i)))
+    successes = sum(reject(np.random.default_rng(derive_replicate_seed(31, 5, i)))
                     for i in range(n))
     assert est.successes == successes
 
 
 # ---------------------------------------------------------------------------
-# the batch contract and the plain-callable adapter
+# the batch contract
 # ---------------------------------------------------------------------------
-
-def prepared(batch_of):
-    """A simulator whose ``prepare(point, hypothesis)`` is ``batch_of``."""
-    def sim(point, hyp, rng):
-        return batch_of(point, hyp).replicate(rng)
-
-    sim.prepare = batch_of
-    return sim
-
-
-def coin_batch(point, hyp):
-    def fill(rng, row):
-        row[:] = rng.random(3)
-
-    return Batch((3,), fill, lambda rows: rows.sum(axis=1) > 1.4)
-
-
-@pytest.mark.parametrize("n", [1, 7, _CHUNK, 2 * _CHUNK + 452])
-def test_plain_callable_and_prepared_simulator_agree(n):
-    from trialopt.simlib import get_scenario
-
-    cluster = get_scenario("cluster_rct").simulator(
-        DesignSpace((Dimension("n", 10, 500), Dimension("k", 2, 30))))
-    hyp = Hypothesis("h", {"beta1": 0.6, "sigma_t2": 0.19, "sigma_d2": 0.37,
-                           "sigma_w2": 3.29, "alpha": 0.05})
-    for sim, point in [(cluster, DesignPoint((250.0, 10.0))),
-                       (prepared(coin_batch), POINT)]:
-        plain = lambda p, h, rng, _sim=sim: _sim(p, h, rng)  # noqa: E731
-        assert not hasattr(plain, "prepare")
-        for seed in (0, 2**63 + 5):
-            assert mc_estimate(plain, point, hyp, n, seed=seed, eval_index=3) == (
-                mc_estimate(sim, point, hyp, n, seed=seed, eval_index=3))
-
 
 def test_fill_failure_reports_replicate_and_seed():
     def batch_of(point, hyp):
@@ -245,7 +235,7 @@ def test_fill_failure_reports_replicate_and_seed():
     first = next(i for i in range(3000)
                  if np.random.default_rng(derive_replicate_seed(5, 2, i)).random() < 0.002)
     with pytest.raises(SimulationError) as info:
-        mc_estimate(prepared(batch_of), POINT, HYP, 3000, seed=5, eval_index=2)
+        mc_estimate(batch_of, POINT, HYP, 3000, seed=5, eval_index=2)
     assert info.value.replicate_index == first
     assert info.value.seed == derive_replicate_seed(5, 2, first)
     assert f"replicate {first} " in str(info.value)
@@ -256,7 +246,7 @@ def test_prepare_failure_is_reported_at_replicate_zero():
         raise ValueError("layout cannot be simulated")
 
     with pytest.raises(SimulationError, match="layout cannot be simulated") as info:
-        mc_estimate(prepared(batch_of), POINT, HYP, 100, seed=8, eval_index=4)
+        mc_estimate(batch_of, POINT, HYP, 100, seed=8, eval_index=4)
     assert info.value.replicate_index == 0
     assert info.value.seed == derive_replicate_seed(8, 4, 0)
 
@@ -272,13 +262,29 @@ def test_decide_failure_is_reported_at_the_first_replicate_of_its_block():
 
     # blocks of _CHUNK one-value rows: the third block is the first short one
     with pytest.raises(SimulationError) as info:
-        mc_estimate(prepared(batch_of), POINT, HYP, 2 * _CHUNK + 10, seed=6)
+        mc_estimate(batch_of, POINT, HYP, 2 * _CHUNK + 10, seed=6)
     assert info.value.replicate_index == 2 * _CHUNK
     assert info.value.seed == derive_replicate_seed(6, 0, 2 * _CHUNK)
 
 
-def test_replicate_is_a_one_row_block():
-    batch = coin_batch(POINT, HYP)
-    rows = np.stack([np.random.default_rng(s).random(3) for s in range(50)])
-    assert [batch.replicate(np.random.default_rng(s)) for s in range(50)] == (
-        batch.decide(rows).tolist())
+def test_a_simulator_returning_no_batch_fails_at_replicate_zero():
+    def per_replicate(point, hyp, rng=None):  # the old contract: one outcome a call
+        return True
+
+    with pytest.raises(SimulationError, match="must return a Batch") as info:
+        mc_estimate(per_replicate, POINT, HYP, 100, seed=8, eval_index=4)
+    assert info.value.replicate_index == 0
+    assert info.value.seed == derive_replicate_seed(8, 4, 0)
+
+
+def test_one_chunk_of_generator_states_is_held_at_a_time():
+    """A chunk's generator states are freed before the next chunk's are
+    derived, so past one chunk the peak does not grow with the sample count."""
+    from test_simlib import traced_peak
+
+    def peak(n_samples):
+        return traced_peak(lambda: mc_estimate(fair_coin, POINT, HYP, n_samples, seed=1))
+
+    one_chunk, three_chunks = peak(_CHUNK), peak(2 * _CHUNK + 5)
+    assert three_chunks <= 500_000, three_chunks
+    assert three_chunks - one_chunk <= 50_000, (one_chunk, three_chunks)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -16,7 +15,7 @@ from scipy.stats import t as student_t
 
 import trialopt
 from trialopt.domain import DesignPoint, DesignSpace, Dimension, Hypothesis
-from trialopt.montecarlo import _BLOCK_DOUBLES, _CHUNK, mc_estimate
+from trialopt.montecarlo import _BLOCK_DOUBLES, _CHUNK, Batch, mc_estimate
 from trialopt.simlib import (
     UnknownScenarioError,
     _arm_level_layout,
@@ -610,8 +609,8 @@ def traced_peak(fn):
 
 def test_wide_rows_hold_one_capped_block():
     """At n = 5000 a row is 10,000 doubles, so a block is one row. Beyond
-    what deriving the generator states takes (measured on a one-column plain
-    callable), the estimate holds its block and decide's temporaries, within
+    what deriving the generator states takes (measured on a one-column
+    simulator), the estimate holds its block and decide's temporaries, within
     three capped blocks, not the _CHUNK rows an uncapped block would take
     (80 MB here)."""
     sim = get_scenario("two_arm_normal").simulator(
@@ -620,7 +619,11 @@ def test_wide_rows_hold_one_capped_block():
     n_samples = 2 * _CHUNK + 5
     wide = traced_peak(lambda: mc_estimate(sim, DesignPoint((5000.0,)), hyp,
                                            n_samples, seed=1))
-    plain = traced_peak(lambda: mc_estimate(lambda p, h, rng: True, DesignPoint((5000.0,)),
+
+    def one_column(point, hyp):
+        return Batch((1,), lambda rng, row: None, lambda rows: np.ones(len(rows), dtype=bool))
+
+    plain = traced_peak(lambda: mc_estimate(one_column, DesignPoint((5000.0,)),
                                             hyp, n_samples, seed=1))
     assert wide - plain <= 3 * _BLOCK_DOUBLES * 8, (wide, plain)
 
@@ -653,20 +656,3 @@ def test_prepare_raises_what_the_old_simulator_raised(name, x, hp, message):
         OLD_SIMULATORS[name](x, hp, np.random.default_rng(0))
     with pytest.raises(ValueError, match=message):
         get_scenario(name).prepare(x, hp)
-
-
-def test_simulate_reuses_the_draw_prepared_for_the_same_values():
-    s = get_scenario("cluster_rct")
-    calls = []
-
-    def counting_prepare(x, hp):
-        calls.append(dict(x))
-        return s.prepare(x, hp)
-
-    counted = dataclasses.replace(s, prepare=counting_prepare)
-    a, b = {"n": 100, "k": 5}, {"n": 250, "k": 10}
-    for seed, x in enumerate([a, dict(a), b, a, a]):
-        assert counted.simulate(x, dict(CLUSTER_HP), np.random.default_rng(seed)) == (
-            old_cluster_rct(x, CLUSTER_HP, np.random.default_rng(seed)))
-    # equal values share a batch; each change of point prepares again
-    assert calls == [a, b, a]

@@ -1,7 +1,8 @@
 """Run two trialopt checkouts on one config and compare their run files.
 
     python3 tools/compare_runs.py PARENT_ROOT CHANGE_ROOT --config FILE \
-        --seeds 0-19 [--baseline | [--resume K [--nominal LABEL=VALUE ...]]
+        --seeds 0-19 [--baseline | [--resume K [--nominal LABEL=VALUE ...]
+                                               [--resume-out]]
                                    [--verify N]]
 
 For every seed, each checkout runs ``trialopt run CONFIG --out DIR --seed S``
@@ -10,11 +11,14 @@ imports ``trialopt`` from the checkout's own ``src`` directory. With
 ``--resume K`` the run stops K iterations short of the config's
 ``budget.iterations`` and ``trialopt resume DIR/checkpoint.bin --iterations
 K`` finishes it, given each ``--nominal LABEL=VALUE`` (repeatable) to revise
-that constraint's bound; with ``--verify N``, ``trialopt verify DIR
---n-verify N`` follows, adding pareto_verified.csv. The commands of one seed
-stop at the first that fails. Every file the commands leave is compared byte for byte,
-and so are their exit codes; the ``elapsed seconds`` line of
-``report.txt`` is wall time and is the one line left out. Prints one line
+that constraint's bound. With ``--resume-out`` the resume writes to a fresh
+sibling directory, ``DIR_resumed``, through ``resume --out``, and both
+directories are compared. With ``--verify N``, ``trialopt verify
+--n-verify N`` follows on the directory the run finished in, adding
+pareto_verified.csv. The commands of one seed stop at the first that fails.
+Every file the commands leave is compared byte for byte, and so are their
+exit codes; the ``elapsed seconds`` line of ``report.txt`` is wall time and
+is the one line left out. Prints one line
 per seed and every file that differs, and exits 1 on any difference (0 when
 every run matches).
 
@@ -45,20 +49,28 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def resumed_dir(out: Path) -> Path:
+    """The directory ``--resume-out`` resumes a run directory into."""
+    return out.with_name(out.name + "_resumed")
+
+
 def commands(args: argparse.Namespace, iterations: int | None, seed: int,
              out: Path) -> list[list[str]]:
     """The trialopt command lines one seed runs, in order."""
     first = ["baseline" if args.baseline else "run", str(args.config),
              "--out", str(out), "--seed", str(seed)]
+    last = out
     if args.resume is None:
         steps = [first]
     else:
-        steps = [first + ["--iterations", str(iterations - args.resume)],
-                 ["resume", str(out / "checkpoint.bin"),
-                  "--iterations", str(args.resume)]
-                 + [arg for pair in args.nominal for arg in ("--nominal", pair)]]
+        resume = ["resume", str(out / "checkpoint.bin"), "--iterations", str(args.resume)]
+        resume += [arg for pair in args.nominal for arg in ("--nominal", pair)]
+        if args.resume_out:
+            last = resumed_dir(out)
+            resume += ["--out", str(last)]
+        steps = [first + ["--iterations", str(iterations - args.resume)], resume]
     if args.verify is not None:
-        steps.append(["verify", str(out), "--n-verify", str(args.verify)])
+        steps.append(["verify", str(last), "--n-verify", str(args.verify)])
     return steps
 
 
@@ -108,6 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nominal", action="append", default=[],
                         metavar="LABEL=VALUE",
                         help="revise a constraint bound on the resume step")
+    parser.add_argument("--resume-out", action="store_true",
+                        help="resume into a fresh sibling directory with 'resume --out'")
     parser.add_argument("--verify", type=int, metavar="N",
                         help="then verify with N replicates per estimate")
     args = parser.parse_args(argv)
@@ -115,6 +129,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--baseline takes neither --resume nor --verify")
     if args.nominal and args.resume is None:
         parser.error("--nominal needs --resume")
+    if args.resume_out and args.resume is None:
+        parser.error("--resume-out needs --resume")
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     for label, root in roots.items():
         if not (root / "src" / "trialopt" / "__init__.py").is_file():
@@ -137,6 +153,10 @@ def main(argv: list[str] | None = None) -> int:
                     root, commands(args, iterations, seed, out), Path(tmp))
                 codes[label] = " ".join(str(r.returncode) for r in results[label])
                 files[label] = run_files(out) if out.is_dir() else {}
+                if args.resume_out and resumed_dir(out).is_dir():
+                    files[label].update(
+                        (f"resumed/{name}", data)
+                        for name, data in run_files(resumed_dir(out)).items())
             diff = differing(files["parent"], files["change"])
             if codes["parent"] != codes["change"] or diff:
                 failures += 1
