@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -119,7 +120,8 @@ def normalize_config(raw: Mapping) -> dict:
                 problems.append(f"design_space[{i}] needs name/low/up")
                 continue
             entry = _attempt(problems, f"design_space[{i}]", lambda: {
-                "name": d["name"], "low": float(d["low"]), "up": float(d["up"]),
+                "name": d["name"], "low": _finite(d["low"], "low"),
+                "up": _finite(d["up"], "up"),
                 "kind": d.get("kind", "continuous"),
             })
             if entry is not None:
@@ -205,7 +207,8 @@ def normalize_config(raw: Mapping) -> dict:
         cfg["reference_point"] = []
     else:
         cfg["reference_point"] = _attempt(
-            problems, "reference_point", lambda: [float(v) for v in ref])
+            problems, "reference_point",
+            lambda: [_finite(v, "reference_point") for v in ref])
 
     # defaults from the domain objects, whose own checks then judge the values
     for key, default, build in (("budget", BudgetConfig(), budget_from_config),
@@ -215,7 +218,7 @@ def normalize_config(raw: Mapping) -> dict:
             cfg[key] = {k: given.get(k, v) for k, v in asdict(default).items()}
             _attempt(problems, key, lambda: build(cfg))
 
-    cfg["seed"] = _attempt(problems, "seed", lambda: _whole(raw.get("seed", 0), "seed"))
+    cfg["seed"] = _attempt(problems, "seed", lambda: _seed(raw.get("seed", 0)))
 
     if problems:
         raise ConfigError(problems)
@@ -264,11 +267,30 @@ def build_problem(cfg: Mapping) -> tuple[Problem, TrialSimulator]:
 
 
 def _whole(value, name: str) -> int:
-    """``int(value)`` for a count; a fraction such as 2.7 is refused rather
-    than truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` for a count given as an int or a whole float; a fraction
+    such as 2.7 is refused rather than truncated, and so are a bool and a
+    string."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _seed(value) -> int:
+    """A run seed: a whole number in [0, 2**64). ``derive_replicate_seed``
+    keeps 64 bits of it, so a larger or negative seed would alias another."""
+    seed = _whole(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {value!r}")
+    return seed
+
+
+def _finite(value, name: str) -> float:
+    """``float(value)``, refusing NaN and infinities."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def build_objectives(obj_cfg: Mapping, scenario: Scenario,

@@ -17,10 +17,29 @@ outputs depend on those comparisons:
   likelihood and prediction solves call ``trtrs`` (lower, no transpose)
   directly, with the arguments ``scipy.linalg.cholesky(lower=True)`` and
   ``solve_triangular(lower=True)`` pass on to them for the Fortran-ordered
-  factor ``potrf`` returns. Their input checks are kept: a non-finite
-  matrix, target vector or cross-covariance raises ``ValueError``.
-- Jitter ``j`` is added as ``j * sigma`` to the diagonal only; the
-  off-diagonal entries of ``j * sigma * I`` are zeros, which change nothing.
+  factor ``potrf`` returns. The diagonal of the factor is read as
+  ``L.diagonal()``.
+- Noise and jitter ``j`` (as ``j * sigma``) are added to the diagonal only.
+  The off-diagonal entries of Delta and of ``j * sigma * I`` are zeros, and
+  ``K >= 0``, so adding them changes nothing.
+- The fit descends one coordinate of ``theta = log10(sigma, lengthscales)``
+  at a time, and ``_NllEvaluator.line`` builds once what stays fixed along
+  that coordinate's golden-section search. Along sigma it keeps the
+  unit-variance kernel ``E = exp(-s)``: ``E * sigma`` equals the in-place
+  ``s *= sigma`` of a full evaluation. Along lengthscale d it keeps the
+  (D, n, n) squared scaled differences, overwrites row d in place at each
+  value and sums over axis 0: the same call on the same array as a full
+  evaluation. Sigma stays the scalar ``10.0 ** theta[0]`` and each
+  lengthscale an element of the array ``10.0 ** theta[1:]``, because
+  numpy's array and scalar powers differ in the last bit on some values.
+
+Finiteness is checked once per call, not per factorization attempt:
+``fit_hyperparameters``, ``log_marginal_likelihood`` and ``build_model``
+check the inputs, targets and noise, and ``KernelParams`` refuses non-finite
+values, each raising ``ValueError``. From finite data and parameters every
+kernel matrix is finite: a difference that overflows gives ``exp(-inf) = 0``.
+``gp_predict_many`` checks its cross-covariance, which holds the query
+points.
 """
 
 from __future__ import annotations
@@ -62,8 +81,9 @@ class KernelParams:
         object.__setattr__(
             self, "lengthscales", tuple(float(v) for v in self.lengthscales)
         )
-        if self.sigma <= 0 or any(l <= 0 for l in self.lengthscales):
-            raise ValueError("kernel parameters must be strictly positive")
+        values = (self.sigma, *self.lengthscales)
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError("kernel parameters must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -107,36 +127,44 @@ def _differences(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.subtract(X.T[:, :, None], Y.T[:, None, :], order="C")
 
 
-def _kernel_from_differences(diff: np.ndarray, sigma: float, ls: np.ndarray) -> np.ndarray:
-    """sigma * exp(-sum_j (diff_j / ls_j)^2), computed in place."""
+def _squared_terms(diff: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """The (D, n, m) terms (diff_j / ls_j)^2, computed in place of a new array."""
     scaled = diff / ls[:, None, None]
-    s = np.square(scaled, out=scaled).sum(axis=0)
-    np.exp(np.negative(s, out=s), out=s)
-    s *= sigma
-    return s
+    return np.square(scaled, out=scaled)
+
+
+def _exp_neg(s: np.ndarray) -> np.ndarray:
+    """exp(-s), computed in place: the unit-variance kernel of the summed terms."""
+    return np.exp(np.negative(s, out=s), out=s)
+
+
+def _unit_kernel(diff: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """exp(-sum_j (diff_j / ls_j)^2): the kernel matrix at sigma = 1."""
+    return _exp_neg(_squared_terms(diff, ls).sum(axis=0))
 
 
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix between two point sets of shape (n, D), (m, D)."""
-    ls = np.asarray(params.lengthscales, dtype=float)
-    return _kernel_from_differences(_differences(X, Y), params.sigma, ls)
+    K = _unit_kernel(_differences(X, Y), np.asarray(params.lengthscales, dtype=float))
+    K *= params.sigma
+    return K
 
 
-def _require_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
+def _require_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
 
 
 def _factorize(base: np.ndarray, sigma: float):
     """Lower Cholesky factor of ``base`` = K + Delta with escalating jitter;
-    returns (L, jitter)."""
+    returns (L, jitter). The caller has checked that ``base`` is finite."""
     n = base.shape[0]
     for jit in _JITTERS:
         a = base
         if jit:
             a = base.copy()
             a.flat[:: n + 1] += jit * sigma
-        _require_finite(a)
         L, info = _potrf(a, lower=True, clean=True)
         if info == 0:
             return L, jit
@@ -148,17 +176,20 @@ def _factorize(base: np.ndarray, sigma: float):
     )
 
 
-def _lml_from_differences(
-    diff: np.ndarray, y: np.ndarray, noise_matrix: np.ndarray, sigma: float, ls: np.ndarray
-) -> float:
-    """Log marginal likelihood from the training differences and Delta; the
-    caller has checked that ``y`` is finite."""
-    K = _kernel_from_differences(diff, sigma, ls)
-    L, _ = _factorize(K + noise_matrix, sigma)
+def _add_noise(K: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """K + Delta, in place on the diagonal of the square C-ordered ``K``."""
+    K.reshape(-1)[:: K.shape[0] + 1] += noise
+    return K
+
+
+def _lml(K: np.ndarray, y: np.ndarray, noise: np.ndarray, sigma: float) -> float:
+    """Log marginal likelihood from the kernel matrix K, which becomes K + Delta;
+    the caller has checked that the training data and noise are finite."""
+    L, _ = _factorize(_add_noise(K, noise), sigma)
     # potrf succeeded, so L has a positive diagonal and trtrs cannot fail;
     # LAPACK rejects an empty system, whose solution is empty
     z = _trtrs(L, y, lower=True)[0] if y.size else y
-    return float(-0.5 * z @ z - np.log(np.diag(L)).sum() - 0.5 * y.size * _LOG2PI)
+    return float(-0.5 * z @ z - np.log(L.diagonal()).sum() - 0.5 * y.size * _LOG2PI)
 
 
 def build_model(
@@ -173,11 +204,12 @@ def build_model(
     d = np.asarray(noise_diag, dtype=float).reshape(-1)
     if X.shape[0] != y.size or y.size != d.size:
         raise ValueError("inputs, targets and noise_diag sizes disagree")
+    _require_finite(X, y, d)
     if X.shape[0] == 0:
         empty = np.empty((0, 0))
         return GpModel(X, y, d, params, empty, np.empty(0))
     K = kernel_matrix(X, X, params)
-    L, jit = _factorize(K + np.diag(d), params.sigma)
+    L, jit = _factorize(_add_noise(K, d), params.sigma)
     alpha = cho_solve((L, True), y)
     return GpModel(X, y, d, params, L, alpha, jit)
 
@@ -214,29 +246,63 @@ def log_marginal_likelihood(
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).reshape(-1)
     d = np.asarray(noise_diag, dtype=float).reshape(-1)
-    ls = np.asarray(params.lengthscales, dtype=float)
-    _require_finite(y)
-    return _lml_from_differences(_differences(X, X), y, np.diag(d), params.sigma, ls)
+    _require_finite(X, y, d)
+    return _lml(kernel_matrix(X, X, params), y, d, params.sigma)
 
 
-def _nll_evaluator(X: np.ndarray, y: np.ndarray, noise: np.ndarray):
+class _NllEvaluator:
     """Negative log marginal likelihood as a function of log10 parameters
-    ``(sigma, lengthscales...)``; inf where every jitter level fails.
+    ``theta = (sigma, lengthscales...)``; inf where every jitter level fails.
 
-    The parts that do not depend on the parameters are built once.
+    The training differences are built once per fit, and each line function
+    builds once what does not change along its coordinate. The caller has
+    checked that the training data and noise are finite.
     """
-    diff = _differences(X, X)
-    noise_matrix = np.diag(noise)
 
-    def nll(theta: np.ndarray) -> float:
+    def __init__(self, X: np.ndarray, y: np.ndarray, noise: np.ndarray):
+        self._diff = _differences(X, X)
+        self._y = y
+        self._noise = noise
+
+    def _nll(self, K: np.ndarray, sigma: float) -> float:
         try:
-            return -_lml_from_differences(
-                diff, y, noise_matrix, 10.0 ** theta[0], 10.0 ** theta[1:]
-            )
+            return -_lml(K, self._y, self._noise, sigma)
         except GpConditioningError:
             return math.inf
 
-    return nll
+    def __call__(self, theta: np.ndarray) -> float:
+        sigma = 10.0 ** theta[0]
+        K = _unit_kernel(self._diff, 10.0 ** theta[1:])
+        K *= sigma
+        return self._nll(K, sigma)
+
+    def line(self, theta: np.ndarray, j: int):
+        """The function ``v -> self(theta with theta[j] = v)``, bit for bit."""
+        trial = np.array(theta, dtype=float)
+        if j == 0:
+            unit = _unit_kernel(self._diff, 10.0 ** trial[1:])
+
+            def along_sigma(v: float) -> float:
+                trial[0] = v
+                sigma = 10.0 ** trial[0]
+                return self._nll(unit * sigma, sigma)
+
+            return along_sigma
+
+        d = j - 1
+        sigma = 10.0 ** trial[0]
+        terms = _squared_terms(self._diff, 10.0 ** trial[1:])
+        diff_d, term_d = self._diff[d], terms[d]
+
+        def along_lengthscale(v: float) -> float:
+            trial[j] = v
+            np.divide(diff_d, (10.0 ** trial[1:])[d], out=term_d)
+            np.square(term_d, out=term_d)
+            K = _exp_neg(terms.sum(axis=0))
+            K *= sigma
+            return self._nll(K, sigma)
+
+        return along_lengthscale
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -280,12 +346,12 @@ def fit_hyperparameters(
     n, ndim = X.shape
     if n < 2:
         raise ValueError("need at least 2 observations to fit hyperparameters")
-    _require_finite(y)
+    _require_finite(X, y, noise)
 
     lb = np.array([_LOG_SIGMA_BOUNDS[0]] + [_LOG_LENGTH_BOUNDS[0]] * ndim)
     ub = np.array([_LOG_SIGMA_BOUNDS[1]] + [_LOG_LENGTH_BOUNDS[1]] * ndim)
 
-    nll = _nll_evaluator(X, y, noise)
+    nll = _NllEvaluator(X, y, noise)
     starts = [lb + u * (ub - lb) for u in _sobol_raw(ndim + 1, _N_STARTS)]
     n_warm = len(extra_starts)
     for params in extra_starts:
@@ -306,12 +372,7 @@ def fit_hyperparameters(
         for _ in range(_MAX_SWEEPS):
             before = val
             for j in range(ndim + 1):
-                def line(v, j=j):
-                    trial = theta.copy()
-                    trial[j] = v
-                    return nll(trial)
-
-                vj, fj = _golden_min(line, lb[j], ub[j])
+                vj, fj = _golden_min(nll.line(theta, j), lb[j], ub[j])
                 if fj < val:
                     theta[j] = vj
                     val = fj

@@ -123,6 +123,32 @@ def test_fractional_count_exits_2_before_writing(tmp_path, capsys, section, key,
     assert f"config error: {section or key}: {key} must be a whole number, got {value}" in err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("design_space", "up", math.inf, "up must be finite, got inf"),
+    ("design_space", "low", -math.inf, "low must be finite, got -inf"),
+    (None, "reference_point", [math.nan], "reference_point must be finite, got nan"),
+    ("budget", "n_per_eval", True, "n_per_eval must be a whole number, got True"),
+    ("budget", "iterations", True, "iterations must be a whole number, got True"),
+    ("budget", "iterations", "10", "iterations must be a whole number, got '10'"),
+    (None, "seed", True, "seed must be a whole number, got True"),
+    (None, "seed", -1, "seed must be in [0, 2**64), got -1"),
+    (None, "seed", 2**64, f"seed must be in [0, 2**64), got {2**64}"),
+    (None, "seed", 2**70, f"seed must be in [0, 2**64), got {2**70}"),
+])
+def test_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, section,
+                                                       key, value, message):
+    bad = analytic_config()
+    target = bad if section is None else bad[section]
+    (target[0] if section == "design_space" else target)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"config error: {section or key}" in err and message in err
+
+
 def test_whole_float_counts_are_kept_as_given():
     cfg = normalize_config(analytic_config(
         budget={"initial_points": 6.0, "n_per_eval": 30.0, "iterations": 3.0}))
@@ -266,6 +292,22 @@ def test_resume_with_tightened_bound_can_drop_rows(tmp_path):
         assert float(rows_after[1][0]) > n_before
     # the old minimal-n row cannot have survived a much tighter bound
     assert all(row[0] != rows_before[1][0] for row in rows_after[1:])
+
+
+@pytest.mark.parametrize("field, bad", [("sigma", math.nan), ("lengthscales", math.inf)])
+def test_resume_refuses_non_finite_kernel_parameters(tmp_path, capsys, field, bad):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg), str(out)) == 0
+    checkpoint = out / "checkpoint.bin"
+    doc = json.loads(checkpoint.read_text())
+    params = doc["gp_params"]["typeII"]
+    params[field] = [bad] if field == "lengthscales" else bad
+    checkpoint.write_text(json.dumps(doc))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["resume", str(checkpoint), "--iterations", "1"]) == 2
+    assert "corrupt checkpoint" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_resume_rejects_unknown_nominal_label(tmp_path, capsys):

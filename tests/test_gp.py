@@ -208,3 +208,11 @@ def test_kernel_params_must_be_positive():
         KernelParams(0.0, (1.0,))
     with pytest.raises(ValueError):
         KernelParams(1.0, (-0.5,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_params_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        KernelParams(bad, (1.0,))
+    with pytest.raises(ValueError, match="finite"):
+        KernelParams(1.0, (0.5, bad))

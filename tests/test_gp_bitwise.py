@@ -63,6 +63,25 @@ def ref_nll_evaluator(X, y, noise):
     return nll
 
 
+class RefEvaluator:
+    """The reference likelihood behind the fit's evaluator interface; a line
+    function sets one coordinate of a copy of theta and evaluates in full."""
+
+    def __init__(self, X, y, noise):
+        self.nll = ref_nll_evaluator(X, y, noise)
+
+    def __call__(self, theta):
+        return self.nll(theta)
+
+    def line(self, theta, j):
+        def along(v):
+            trial = np.array(theta, dtype=float)
+            trial[j] = v
+            return self.nll(trial)
+
+        return along
+
+
 def ref_predict_many(model, X):
     k_star = ref_kernel_matrix(model.inputs, X, model.params)
     v = solve_triangular(model.chol, k_star, lower=True)
@@ -152,13 +171,35 @@ def test_factorization_and_jitter_bitwise():
 def test_fit_evaluator_bitwise_across_the_search_box():
     values = set()
     for rng, X, y, noise in instances(3, count=6):
-        ours = gp._nll_evaluator(X, y, noise)
+        ours = gp._NllEvaluator(X, y, noise)
         ref = ref_nll_evaluator(X, y, noise)
         for _ in range(25):
             theta = random_theta(rng, X.shape[1])
             want = ref(theta)
             assert same_bits(ours(theta), want)
             values.add(math.isfinite(want))
+    assert values == {False, True}
+
+
+def test_line_values_equal_the_full_evaluation_bitwise():
+    """Each line function, evaluated several times in turn as a line search
+    does, gives the full evaluation at theta with coordinate j set."""
+    values = set()
+    for rng, X, y, noise in instances(5, count=6):
+        ours = gp._NllEvaluator(X, y, noise)
+        ref = ref_nll_evaluator(X, y, noise)
+        for _ in range(3):
+            theta = random_theta(rng, X.shape[1])
+            for j in range(theta.size):
+                line = ours.line(theta, j)
+                lo, hi = LOG_BOX[0] if j == 0 else LOG_BOX[1]
+                for v in rng.uniform(lo, hi, 4):
+                    trial = theta.copy()
+                    trial[j] = v
+                    want = ours(trial)
+                    assert same_bits(line(v), want)
+                    assert same_bits(want, ref(trial))
+                    values.add(math.isfinite(want))
     assert values == {False, True}
 
 
@@ -177,7 +218,7 @@ def test_fit_returns_the_reference_evaluator_optimum(monkeypatch):
     for X, y, noise, warm in fit_fixtures():
         ours = fit_hyperparameters(X, y, noise, extra_starts=warm)
         with monkeypatch.context() as patch:
-            patch.setattr(gp, "_nll_evaluator", ref_nll_evaluator)
+            patch.setattr(gp, "_NllEvaluator", RefEvaluator)
             want = fit_hyperparameters(X, y, noise, extra_starts=warm)
         assert same_bits(ours.sigma, want.sigma)
         assert same_bits(ours.lengthscales, want.lengthscales)
