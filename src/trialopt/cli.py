@@ -8,8 +8,10 @@ afresh from the checkpoint's records), pareto.csv, trajectory.csv,
 checkpoint.bin, report.txt and, after ``verify``, pareto_verified.csv.
 While a command works in it the directory also holds .lock; every command
 takes that lock before it writes anything, and a command that finds it held
-exits 2 without changing the directory. ``run`` and ``baseline`` start only
-in a directory without evals.log, so one log never mixes two runs' records.
+exits 2 without changing the directory. ``run``, ``baseline`` and ``resume
+--out`` into another directory start only in a directory that holds neither
+checkpoint.bin nor evals.log, so no run's checkpoint is replaced and one log
+never mixes two runs' records.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .domain import (
     ObjectiveSpec,
     Problem,
     constraint_problems,
+    pool_by_design,
 )
 from .engine import BudgetConfig, CheckpointError, RunAborted, RunState
 from .gp import gp_predict_many
@@ -129,16 +132,21 @@ def normalize_config(raw: Mapping) -> dict:
 
     hyps = raw.get("hypotheses")
     cfg["hypotheses"] = []
+    # every entry that names a hypothesis, well-formed or not: a constraint on
+    # a malformed one is reported once, by that entry's own problem
+    hyp_names = []
     if not isinstance(hyps, list) or not hyps:
         problems.append("'hypotheses' must be a non-empty list")
     else:
         for i, h in enumerate(hyps):
+            if isinstance(h, dict) and "name" in h:
+                hyp_names.append(h["name"])
             if not isinstance(h, dict) or "name" not in h or "params" not in h:
                 problems.append(f"hypotheses[{i}] needs name and params")
                 continue
             entry = _attempt(problems, f"hypotheses[{i}]", lambda: {
                 "name": h["name"],
-                "params": {k: float(v) for k, v in dict(h["params"]).items()},
+                "params": {k: _finite(v, k) for k, v in dict(h["params"]).items()},
                 "event": h.get("event", "reject"),
             })
             if entry is None:
@@ -170,8 +178,7 @@ def normalize_config(raw: Mapping) -> dict:
             if entry is not None:
                 cfg["constraints"].append(entry)
         problems.extend(constraint_problems(
-            [Constraint(**c) for c in cfg["constraints"]],
-            {h["name"] for h in cfg["hypotheses"]}))
+            [Constraint(**c) for c in cfg["constraints"]], hyp_names))
 
     obj = raw.get("objectives")
     if not isinstance(obj, dict):
@@ -407,24 +414,13 @@ def record_writer(log_path: Path):
     return handle, write
 
 
-def _pooled_estimates(state: RunState, point_coords: tuple[float, ...],
-                      hyp_name: str) -> tuple[float, int]:
-    """Pooled raw MC estimate and total N across records at one point."""
-    total_n = 0
-    total_s = 0
-    for rec in state.records:
-        if rec.point.coords == point_coords and rec.hypothesis == hyp_name:
-            total_n += rec.n_samples
-            total_s += rec.successes
-    return (total_s / total_n if total_n else float("nan")), total_n
-
-
 def write_pareto_csv(path: Path, problem: Problem, state: RunState) -> None:
     space = problem.space
     header = list(space.names) + list(problem.objectives.labels)
     for con in problem.constraints:
         header += [f"quantile[{con.label}]", f"estimate[{con.label}]",
                    f"n[{con.label}]"]
+    pool = pool_by_design(state.records)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -434,15 +430,13 @@ def write_pareto_csv(path: Path, problem: Problem, state: RunState) -> None:
             for con in problem.constraints:
                 mean, var = gp_predict_many(state.models[con.label], unit)
                 q = feasibility_quantile(float(mean[0]), float(var[0]), con.confidence)
-                est, n = _pooled_estimates(state, point.coords, con.hypothesis)
-                row += [q, est, n]
+                s, n = pool[point][con.hypothesis]
+                row += [q, s / n, n]
             writer.writerow(row)
 
 
 def write_baseline_csv(path: Path, problem: Problem, aset, records) -> None:
-    by_point = {}
-    for rec in records:
-        by_point.setdefault(rec.point.coords, {})[rec.hypothesis] = rec
+    pool = pool_by_design(records)
     header = list(problem.space.names) + list(problem.objectives.labels)
     for con in problem.constraints:
         header += [f"estimate[{con.label}]", f"n[{con.label}]"]
@@ -452,8 +446,8 @@ def write_baseline_csv(path: Path, problem: Problem, aset, records) -> None:
         for point, objs in aset.members:
             row = list(point.coords) + list(objs)
             for con in problem.constraints:
-                rec = by_point[point.coords][con.hypothesis]
-                row += [rec.estimate, rec.n_samples]
+                s, n = pool[point][con.hypothesis]
+                row += [s / n, n]
             writer.writerow(row)
 
 
@@ -536,19 +530,13 @@ def _run_directory(out: Path, cfg: Mapping,
 
 
 def _require_new_run_dir(out: Path) -> None:
-    """Refuse a directory that holds another run: its checkpoint and its
-    evaluation log would be replaced."""
+    """Refuse a directory that holds another run: its checkpoint, or the
+    evals.log an earlier command left, would be replaced."""
     if (out / CHECKPOINT_NAME).exists():
         raise ConfigError(
             [f"{out / CHECKPOINT_NAME} already exists; use 'resume' or a fresh "
              "directory"]
         )
-    _require_no_log(out)
-
-
-def _require_no_log(out: Path) -> None:
-    """Refuse a directory whose evals.log an earlier command left: a new run
-    would replace that log with its own records."""
     if (out / LOG_NAME).exists():
         raise ConfigError(
             [f"{out / LOG_NAME} already exists; a new run would replace it: "
@@ -667,8 +655,7 @@ def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
         raise ConfigError(problems)
     problem, sim = build_problem(cfg)
     out = Path(out_dir)
-    _require_no_log(out)
-    with _run_directory(out, cfg) as write:
+    with _run_directory(out, cfg, new=True) as write:
         aset, records = engine.fixed_design_search(
             problem, sim, count=count,
             n_samples=int(cfg["budget"]["n_per_eval"]),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -217,6 +217,19 @@ class EvaluationRecord:
     @property
     def mc_variance(self) -> float:
         return mc_variance_of(self.successes, self.n_samples)
+
+
+def pool_by_design(
+    records: Iterable[EvaluationRecord],
+) -> dict[DesignPoint, dict[str, tuple[int, int]]]:
+    """Successes and samples summed per design point and hypothesis, as
+    (successes, n); the points in the order of their first record."""
+    pool: dict[DesignPoint, dict[str, tuple[int, int]]] = {}
+    for rec in records:
+        counts = pool.setdefault(rec.point, {})
+        s, n = counts.get(rec.hypothesis, (0, 0))
+        counts[rec.hypothesis] = (s + rec.successes, n + rec.n_samples)
+    return pool
 
 
 def constraint_value(estimate: float, constraint: Constraint) -> float:

@@ -26,6 +26,8 @@ from .domain import (
     EvaluationRecord,
     Hypothesis,
     Problem,
+    mc_variance_of,
+    pool_by_design,
 )
 from .gp import (
     GpConditioningError,
@@ -203,10 +205,7 @@ def recompute_feasible_set(state: RunState) -> ApproximationSet:
     """Feasibility decided by current GP quantiles at every evaluated point
     (never raw Monte Carlo values), then Pareto-filtered."""
     problem = state.problem
-    unique: dict[tuple[float, ...], DesignPoint] = {}
-    for rec in state.records:
-        unique.setdefault(rec.point.coords, rec.point)
-    points = list(unique.values())
+    points = list(pool_by_design(state.records))
     if not points:
         return ApproximationSet((), problem.reference_point)
     unit = problem.space.normalize(np.array([p.coords for p in points]))
@@ -226,14 +225,12 @@ def _with_objectives(problem: Problem, points: Sequence[DesignPoint]):
     return list(zip(points, values.tolist()))
 
 
-def _diagnose(state: RunState, point: DesignPoint,
+def _diagnose(state: RunState, fresh: Mapping[str, EvaluationRecord],
               predictions: Mapping[str, tuple[float, float]]) -> None:
-    """Compare predicted and realized constraint values at the chosen point."""
+    """Compare the constraint values predicted at the chosen point with those
+    its ``fresh`` evaluations, one per hypothesis, realized."""
     for con in state.problem.constraints:
-        rec = next(
-            r for r in reversed(state.records)
-            if r.hypothesis == con.hypothesis and r.point.coords == point.coords
-        )
+        rec = fresh[con.hypothesis]
         mean, var = predictions[con.label]
         scale = math.sqrt(var + rec.mc_variance)
         if scale <= 0.0:
@@ -280,10 +277,10 @@ def _iterate(
             mean, var = gp_predict_many(state.models[con.label], unit)
             predictions[con.label] = (float(mean[0]), float(var[0]))
 
-        for name in hyp_names:
-            _evaluate(state, sim, point, name, it, callback)
+        fresh = {name: _evaluate(state, sim, point, name, it, callback)
+                 for name in hyp_names}
         state.iteration = it
-        _diagnose(state, point, predictions)
+        _diagnose(state, fresh, predictions)
         _update_models(state, refit=True)
         state.trajectory.append(hypervolume(state.approx_set))
 
@@ -371,9 +368,10 @@ def fixed_design_search(
     seed: int = 0,
     record_callback: RecordCallback | None = None,
 ) -> tuple[ApproximationSet, list[EvaluationRecord]]:
-    """One-shot comparator: evaluate a Sobol design once per point and keep
-    points whose one-sided upper confidence bound clears every constraint.
-    ``sim`` serves every constrained hypothesis, as in ``run``.
+    """One-shot comparator: evaluate each point of a Sobol design once and
+    keep points whose one-sided upper confidence bound clears every
+    constraint; a point the snapped design repeats is judged on its pooled
+    evaluations. ``sim`` serves every constrained hypothesis, as in ``run``.
 
     ``confidence`` is the one-sided level of the bound ``estimate +
     z(confidence) * mc_se``; 0.975 reproduces a two-sided 95% interval check,
@@ -386,25 +384,12 @@ def fixed_design_search(
         for name in problem.constrained_hypotheses:
             _evaluate(state, sim, point, name, 0, record_callback)
 
-    by_point: dict[tuple[float, ...], dict[str, EvaluationRecord]] = {}
-    order: list[DesignPoint] = []
-    for rec in state.records:
-        if rec.point.coords not in by_point:
-            by_point[rec.point.coords] = {}
-            order.append(rec.point)
-        by_point[rec.point.coords][rec.hypothesis] = rec
-    survivors = []
-    for point in order:
-        recs = by_point[point.coords]
-        ok = True
-        for con in problem.constraints:
-            rec = recs[con.hypothesis]
-            upper = feasibility_quantile(rec.estimate, rec.mc_variance, confidence)
-            if not upper < con.nominal:
-                ok = False
-                break
-        if ok:
-            survivors.append(point)
+    survivors = [
+        point for point, counts in pool_by_design(state.records).items()
+        if all(feasibility_quantile(s / n, mc_variance_of(s, n), confidence)
+               < con.nominal
+               for con in problem.constraints for s, n in [counts[con.hypothesis]])
+    ]
     aset = ApproximationSet(tuple(pareto_filter(_with_objectives(problem, survivors))),
                             problem.reference_point)
     return aset, state.records

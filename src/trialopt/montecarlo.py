@@ -197,10 +197,11 @@ def mc_estimate(
     replicate and decides a block of at most ``_CHUNK`` rows and
     ``_BLOCK_DOUBLES`` values at a time. ``workers`` is kept only for its
     existing callers and does not change how replicates run (a thread pool
-    over replicates measured no faster than one thread). A failing simulator raises SimulationError for the
-    earliest failing replicate, with the seed that reproduces it: a failing
-    call of ``sim``, or one that returns no Batch, is replicate 0's, and a
-    failing ``decide`` is reported at the first replicate of its block.
+    over replicates measured no faster than one thread). A failing simulator
+    raises SimulationError for the earliest failing replicate, with the seed
+    that reproduces it: a failing call of ``sim``, or one that returns no
+    Batch, is replicate 0's, and a failing ``decide`` is reported at the
+    first replicate of its block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

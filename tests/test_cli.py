@@ -149,6 +149,30 @@ def test_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, section
     assert f"config error: {section or key}" in err and message in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_hypothesis_parameter_exits_2_before_writing(tmp_path, capsys,
+                                                                value):
+    bad = analytic_config()
+    bad["hypotheses"][0]["params"]["delta"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert (f"config error: hypotheses[0]: delta must be finite, got {value}"
+            in capsys.readouterr().err)
+
+
+def test_malformed_hypothesis_value_is_reported_once():
+    bad = analytic_config()
+    bad["hypotheses"][0]["params"]["delta"] = "x"
+    with pytest.raises(ConfigError) as caught:
+        normalize_config(bad)
+    # the constraint on that hypothesis is not reported again as unknown
+    assert len(caught.value.problems) == 1
+    assert caught.value.problems[0].startswith("hypotheses[0]: ")
+
+
 def test_whole_float_counts_are_kept_as_given():
     cfg = normalize_config(analytic_config(
         budget={"initial_points": 6.0, "n_per_eval": 30.0, "iterations": 3.0}))
@@ -217,6 +241,20 @@ def test_run_and_baseline_refuse_a_directory_with_a_log(tmp_path, capsys, first,
     capsys.readouterr()
     assert main([second, str(cfg), "--out", str(out)] + extra[second]) == 2
     assert "evals.log already exists" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_baseline_refuses_a_directory_with_a_checkpoint(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    for name in os.listdir(out):
+        if name != "checkpoint.bin":
+            (out / name).unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["baseline", str(cfg), "--out", str(out), "--count", "5"]) == 2
+    assert "checkpoint.bin already exists" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -539,3 +577,14 @@ def test_resume_out_naming_the_run_directory_resumes_in_place(tmp_path):
     assert main(["resume", str(out / "checkpoint.bin"), "--out",
                  str(tmp_path / "." / "out" / ".." / "out"), "--iterations", "1"]) == 0
     assert len((out / "evals.log").read_text().splitlines()) > records
+
+
+def test_importing_cli_loads_neither_scipy_stats_nor_scipy_optimize():
+    # every command pays this import: scipy.optimize alone adds about 0.3 s
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, trialopt.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

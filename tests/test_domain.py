@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trialopt.domain import (
     Constraint,
@@ -12,6 +14,7 @@ from trialopt.domain import (
     Problem,
     constraint_value,
     mc_variance_of,
+    pool_by_design,
     validate_problem,
 )
 
@@ -158,3 +161,30 @@ def test_constrained_hypotheses_in_constraint_order():
         reference_point=(1200.0, 30.0),
     )
     assert problem.constrained_hypotheses == ("h2", "h1")
+
+
+# (point index, hypothesis, n, successes) per record; few points, so they repeat
+_record_rows = st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["alt", "null"]),
+                                  st.integers(1, 40), st.integers(0, 40)),
+                        max_size=25)
+
+
+@given(_record_rows)
+def test_pool_by_design_matches_a_brute_force_scan(rows):
+    records = [EvaluationRecord(DesignPoint((float(i), 2.0 * i)), hyp, n,
+                                min(s, n), seed=j)
+               for j, (i, hyp, n, s) in enumerate(rows)]
+    pool = pool_by_design(records)
+    order = []
+    for rec in records:
+        if rec.point not in order:
+            order.append(rec.point)
+    assert list(pool) == order
+    for point in order:
+        expected = {}
+        for hyp in ("alt", "null"):
+            at = [r for r in records if r.point == point and r.hypothesis == hyp]
+            if at:
+                expected[hyp] = (sum(r.successes for r in at),
+                                 sum(r.n_samples for r in at))
+        assert pool[point] == expected

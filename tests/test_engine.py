@@ -1,3 +1,5 @@
+import csv
+import logging
 import math
 import os
 from dataclasses import replace
@@ -5,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trialopt.acquisition import PsoConfig
+from trialopt.acquisition import PsoConfig, feasibility_quantile
+from trialopt.cli import write_baseline_csv
 from trialopt.domain import (
     Constraint,
     DesignPoint,
@@ -15,6 +18,7 @@ from trialopt.domain import (
     Hypothesis,
     ObjectiveSpec,
     Problem,
+    mc_variance_of,
 )
 from trialopt.engine import (
     BudgetConfig,
@@ -352,3 +356,70 @@ def test_fixed_design_survivors_bound_below_nominal():
         rec = by_point[point.coords]
         upper = rec.estimate + 1.959963984540054 * math.sqrt(rec.mc_variance)
         assert upper < 0.2
+
+
+def test_fixed_design_judges_and_reports_a_repeated_point_on_its_pooled_counts(
+        tmp_path):
+    # 20 Sobol points snapped onto the 5 integers of [10, 14] repeat each one
+    space = DesignSpace((Dimension("n", 10, 14, "integer"),))
+    hyp = Hypothesis("alt", {}, event="accept")
+    con = Constraint("typeII", "alt", nominal=0.5, confidence=0.6)
+    # n and -n: every survivor is nondominated, so the set shows each verdict
+    objectives = ObjectiveSpec(("n", "minus_n"), lambda X: np.hstack([X, -X]))
+    problem = Problem(space, objectives, (con,), {"alt": hyp}, (15.0, -9.0))
+
+    def coin(point, hyp):
+        def fill(rng, row):
+            row[0] = rng.random()
+
+        return Batch((1,), fill, lambda rows: rows[:, 0] < 0.5)
+
+    aset, records = fixed_design_search(problem, coin, count=20, n_samples=31,
+                                        confidence=0.6, seed=4)
+    pooled = {}
+    for rec in records:
+        s, n = pooled.get(rec.point.coords, (0, 0))
+        pooled[rec.point.coords] = (s + rec.successes, n + rec.n_samples)
+    assert len(pooled) == 5 and len(records) == 20
+    expected = {c for c, (s, n) in pooled.items()
+                if feasibility_quantile(s / n, mc_variance_of(s, n), 0.6) < 0.5}
+    assert {p.coords for p, _ in aset.members} == expected
+    assert expected  # the check above decides at least one survivor
+
+    path = tmp_path / "pareto.csv"
+    write_baseline_csv(path, problem, aset, records)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["n"]),) for r in rows] == [p.coords for p, _ in aset.members]
+    for r in rows:
+        s, n = pooled[(float(r["n"]),)]
+        assert int(r["n[typeII]"]) == n > 31
+        assert float(r["estimate[typeII]"]) == s / n
+
+
+def _switching_run(switch: bool, caplog):
+    """Run one iteration on a simulator that never reports the tallied event
+    during the initial design and, when ``switch``, always reports it after."""
+    problem, _ = analytic_problem(nominal=0.5)
+    calls = []
+
+    def stub(point, hyp):
+        calls.append(point)
+        event = switch and len(calls) > 6
+        return Batch((1,), lambda rng, row: None,
+                     lambda rows: np.full(len(rows), not event))
+
+    with caplog.at_level(logging.WARNING, logger="trialopt.engine"):
+        run(problem, stub, BudgetConfig(iterations=1, n_per_eval=100,
+                                        initial_points=6), pso=FAST_PSO, seed=1)
+    return [r for r in caplog.records if "sd from GP prediction" in r.getMessage()]
+
+
+def test_diagnose_warns_when_the_realized_rate_is_far_from_the_prediction(caplog):
+    warnings = _switching_run(True, caplog)
+    assert len(warnings) == 1
+    assert "iteration 1: realized 'typeII' value 0.5" in warnings[0].getMessage()
+
+
+def test_diagnose_is_silent_when_the_realized_rate_matches_the_prediction(caplog):
+    assert _switching_run(False, caplog) == []
