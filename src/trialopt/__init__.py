@@ -1,7 +1,17 @@
 """Surrogate-assisted, constrained, multi-objective optimization for
 simulation-based trial design: Monte Carlo estimates of operating
 characteristics feed Gaussian-process models driving a hypervolume-based
-expected-improvement search over design parameters."""
+expected-improvement search over design parameters.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` to ``"1"`` when it is
+unset and leaves a value already set alone. The GP's matrices are small, so
+OpenBLAS worker threads spend CPU time without saving wall time. OpenBLAS
+reads the variable once, when numpy first loads it, so a process that loaded
+numpy before importing ``trialopt`` keeps its own setting."""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .acquisition import (
     PsoConfig,

@@ -33,9 +33,10 @@ def quantile_update(m, s2, omega2_plan, p):
     s2 = np.asarray(s2, dtype=float)
     omega2 = np.asarray(omega2_plan, dtype=float)
     denom = omega2 + s2
-    safe = np.where(denom > 0, denom, 1.0)
-    s2_plus = np.where(denom > 0, s2 * s2 / safe, 0.0)
-    m_plus = m + ndtri(p) * np.sqrt(np.where(denom > 0, omega2 * s2 / safe, 0.0))
+    pos = denom > 0
+    safe = np.where(pos, denom, 1.0)
+    s2_plus = np.where(pos, s2 * s2 / safe, 0.0)
+    m_plus = m + ndtri(p) * np.sqrt(np.where(pos, omega2 * s2 / safe, 0.0))
     if m_plus.ndim == 0:
         return float(m_plus), float(s2_plus)
     return m_plus, s2_plus
@@ -44,11 +45,10 @@ def quantile_update(m, s2, omega2_plan, p):
 def prob_feasible_after(m_plus, s2_plus):
     """Phi(-m+ / s+); degenerates to an indicator when s+^2 = 0."""
     m_plus = np.asarray(m_plus, dtype=float)
-    s2_plus = np.asarray(s2_plus, dtype=float)
-    s = np.sqrt(s2_plus)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s > 0, ndtr(-m_plus / np.where(s > 0, s, 1.0)),
-                       (m_plus <= 0).astype(float))
+    s = np.sqrt(np.asarray(s2_plus, dtype=float))
+    pos = s > 0
+    # the divisor is s or 1, never 0: no division warning to silence
+    out = np.where(pos, ndtr(-m_plus / np.where(pos, s, 1.0)), m_plus <= 0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -61,30 +61,25 @@ def expected_improvement_batch(
     planned_n: int,
     space: DesignSpace,
 ) -> np.ndarray:
-    """EI for each row of ``coords`` (raw design coordinates).
+    """EI for each row of the (m, D) float array ``coords`` (raw design
+    coordinates).
 
     EI(x) = [H(A*) - H(A)] * prod_j Phi(-m_{j,+} / s_{j,+}), where the
     per-constraint planned-evaluation variance uses the GP mean mapped back
-    to the rate scale and clamped away from {0, 1}.
+    to the rate scale and clamped away from {0, 1}. Every factor is computed
+    for every row, each row on its own, so a row where the probability is 0
+    gets 0 whatever the others are.
     """
-    X = np.atleast_2d(np.asarray(coords, dtype=float))
-    unit = space.normalize(X)
-    prob = np.ones(X.shape[0])
+    unit = space.normalize(coords)
+    low = 1.0 / (2.0 * planned_n)
+    prob = 1.0
     for con in constraints:
         mean, var = gp_predict_many(models[con.label], unit)
-        rate = np.clip(
-            mean + con.nominal,
-            1.0 / (2.0 * planned_n),
-            1.0 - 1.0 / (2.0 * planned_n),
-        )
+        rate = np.clip(mean + con.nominal, low, 1.0 - low)
         omega2 = rate * (1.0 - rate) / planned_n
-        m_plus, s2_plus = quantile_update(mean, var, omega2, con.confidence)
-        prob *= prob_feasible_after(m_plus, s2_plus)
-    out = np.zeros(X.shape[0])
-    live = np.flatnonzero(~(prob <= 0.0))
-    if live.size:
-        out[live] = HviCalculator(current)(objectives(X[live])) * prob[live]
-    return out
+        prob = prob * prob_feasible_after(*quantile_update(mean, var, omega2, con.confidence))
+    gain = HviCalculator(current)(objectives(coords))
+    return np.where(prob <= 0.0, 0.0, gain * prob)
 
 
 def expected_improvement(
@@ -146,8 +141,7 @@ def pso_maximize(
     """
     cfg = config or PsoConfig()
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    lower, upper = bounds.lower, bounds.upper
-    span = upper - lower
+    lower, upper, span = bounds.lower, bounds.upper, bounds.span
     vmax = _VELOCITY_CLAMP * span
     m, d = cfg.swarm_size, bounds.ndim
 

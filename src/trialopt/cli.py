@@ -36,6 +36,7 @@ from . import engine
 from .acquisition import PsoConfig, feasibility_quantile
 from .domain import (
     Constraint,
+    DesignPoint,
     DesignSpace,
     Dimension,
     EvaluationRecord,
@@ -160,6 +161,8 @@ def normalize_config(raw: Mapping) -> dict:
                         f"hypothesis {entry['name']!r} missing scenario "
                         f"parameter(s): {', '.join(missing)}"
                     )
+                problems.extend(f"hypotheses[{i}]: {problem}" for problem
+                                in scenario.hypothesis_problems(entry["params"]))
 
     cons = raw.get("constraints")
     cfg["constraints"] = []
@@ -271,6 +274,31 @@ def build_problem(cfg: Mapping) -> tuple[Problem, TrialSimulator]:
         raise ConfigError(problems)
 
     return problem, scenario.simulator(space)
+
+
+def _require_preparable(problem: Problem, sim: TrialSimulator, count: int) -> None:
+    """Raise ConfigError, before any run directory is written, with one
+    problem per hypothesis and message for which ``sim`` raises ValueError at
+    a snapped corner of the box or at one of the ``count`` points of the
+    initial design (the first such design named). A run or baseline would
+    otherwise meet the error after writing its directory."""
+    space = problem.space
+    # the box's 2**D corners: bit d of row i picks dimension d's bound
+    bits = (np.arange(1 << space.ndim)[:, None] >> np.arange(space.ndim)) & 1
+    points = [DesignPoint(tuple(space.snap(corner)))
+              for corner in np.where(bits == 1, space.upper, space.lower)]
+    points += engine.initial_design(problem, count)
+    first: dict[tuple[str, str], DesignPoint] = {}
+    for hypothesis in problem.hypotheses.values():
+        for point in points:
+            try:
+                sim(point, hypothesis)
+            except ValueError as exc:
+                first.setdefault((hypothesis.name, str(exc)), point)
+    if first:
+        raise ConfigError([f"design_space: hypothesis {name!r} cannot be simulated "
+                           f"at {dict(zip(space.names, point.coords))}: {message}"
+                           for (name, message), point in first.items()])
 
 
 def _whole(value, name: str) -> int:
@@ -581,8 +609,10 @@ def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
     cfg = normalize_config(_apply_overrides(load_config(config_path),
                                             seed, iterations, n_per_eval))
     problem, sim = build_problem(cfg)
+    budget = budget_from_config(cfg)
+    _require_preparable(problem, sim, budget.resolve_initial_points(problem.space.ndim))
     return _optimize(Path(out_dir), cfg, lambda write: engine.run(
-        problem, sim, budget_from_config(cfg), pso=pso_from_config(cfg),
+        problem, sim, budget, pso=pso_from_config(cfg),
         seed=cfg["seed"], record_callback=write,
     ), new=True)
 
@@ -654,6 +684,7 @@ def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
     if problems:
         raise ConfigError(problems)
     problem, sim = build_problem(cfg)
+    _require_preparable(problem, sim, count)
     out = Path(out_dir)
     with _run_directory(out, cfg, new=True) as write:
         aset, records = engine.fixed_design_search(

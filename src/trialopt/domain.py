@@ -57,7 +57,7 @@ class DesignSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dims)
 
-    # bounds and mask are built once per space and shared, so they are read-only
+    # bounds, span and mask are built once per space and shared, so they are read-only
     @cached_property
     def lower(self) -> np.ndarray:
         return _read_only([d.lower for d in self.dims], float)
@@ -65,6 +65,10 @@ class DesignSpace:
     @cached_property
     def upper(self) -> np.ndarray:
         return _read_only([d.upper for d in self.dims], float)
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        return _read_only(self.upper - self.lower, float)
 
     @cached_property
     def integer_mask(self) -> np.ndarray:
@@ -79,11 +83,11 @@ class DesignSpace:
     def normalize(self, coords: np.ndarray) -> np.ndarray:
         """Affine map of raw coordinates onto the unit cube."""
         x = np.asarray(coords, dtype=float)
-        return (x - self.lower) / (self.upper - self.lower)
+        return (x - self.lower) / self.span
 
     def denormalize(self, unit: np.ndarray) -> np.ndarray:
         u = np.asarray(unit, dtype=float)
-        return self.lower + u * (self.upper - self.lower)
+        return self.lower + u * self.span
 
     def snap(self, coords: Sequence[float]) -> np.ndarray:
         """Clip to bounds and round integer dimensions (half away from zero

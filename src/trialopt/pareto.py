@@ -16,6 +16,26 @@ staircase is one row of an array, and its products are added column by
 column, left to right, as the one-candidate loop adds them. ``sum`` or
 ``np.add.reduce`` along the row would add them pairwise, which rounds
 differently once a staircase has more than a few steps.
+
+An ``ApproximationSet`` builds once, on first use, what every batch of
+candidates against it shares, and the caches rest on these facts:
+
+- Each row's sweep, and its left-to-right accumulate, reads only that row
+  and the set, so a row's total does not depend on the other rows of the
+  batch. The 3-D slices a row adds are its own levels and those of the
+  members it does not dominate, whatever levels the other rows bring.
+- Hence the set's own volume, swept once with a lone +inf row and cached,
+  is bit for bit the total of the +inf row that each batch used to append;
+  ``hypervolume`` returns the same cached value.
+- The 2-D staircase is cached as complex numbers x + iy, the float pairs
+  reinterpreted without rounding, between copies of the reference point.
+  numpy orders complex numbers lexicographically, as the sweep orders rows,
+  so a binary search places each candidate and one gather builds its
+  staircase. Candidates reaching the sweep are never NaN: rows that gain
+  nothing become +inf first.
+- The members are also cached dimension-first, (B, k, 1) and C-ordered:
+  the dominance test then reduces over the leading axis, which numpy does
+  several times faster than over a short trailing one.
 """
 
 from __future__ import annotations
@@ -91,6 +111,24 @@ class ApproximationSet:
         ref.flags.writeable = rows.flags.writeable = False
         return ref, rows
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """The front dimension-first, (B, k, 1): C-ordered and read-only."""
+        front = self._front[1].T[:, :, None].copy()
+        front.flags.writeable = False
+        return front
+
+    @cached_property
+    def _stairs(self) -> np.ndarray:
+        """The front's ``_stairs_of``, which the 2-D sweep indexes."""
+        ref, front = self._front
+        return _stairs_of(front, ref)
+
+    @cached_property
+    def _volume(self) -> float:
+        """The volume the set dominates: its ``_volume_with`` a +inf row."""
+        return float(_volume_with(self, np.full((1, len(self.reference)), np.inf))[0])
+
 
 def pareto_filter(
     points: Sequence[tuple[DesignPoint, Sequence[float]]],
@@ -107,37 +145,54 @@ def pareto_filter(
     return sorted((e for e, k in zip(entries, keep) if k), key=lambda m: m[1][0])
 
 
-def _sweep(rows: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Staircase area of lexicographically sorted rows (first two columns)
-    with each candidate merged in at its place, for all candidates at once:
-    each total gets the one-candidate sweep's products in the same order. A
-    +inf candidate is never merged and yields the area of ``rows`` alone."""
-    r1, r2 = ref[0], ref[1]
-    k, c1, c2 = len(rows), cand[:, :1], cand[:, 1:2]
-    # each candidate's staircase, (m, k + 1): the rows before its slot, the
-    # candidate, then the rest (index k of the padded rows is never taken)
-    slot = ((rows[:, 0] < c1) | ((rows[:, 0] == c1) & (rows[:, 1] < c2))).sum(
-        axis=1, keepdims=True)
-    pos = np.arange(k + 1)
-    src, here = pos - (pos > slot), pos == slot
-    f1 = np.where(here, c1, np.append(rows[:, 0], r1)[src])
-    f2 = np.where(here, c2, np.append(rows[:, 1], r2)[src])
-    # the lowest step so far, seeded with r2; a step adds area only below it
-    prev = np.fmin.accumulate(np.hstack([np.full_like(c2, r2), f2[:, :-1]]), axis=1)
+def _stairs_of(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The first two objectives of lexicographically sorted rows as complex
+    numbers x + iy, between a leading and a trailing copy of the reference
+    point's: (k + 2,), read-only. The bits are the floats' own, and numpy
+    orders complex numbers lexicographically, as the rows are."""
+    points = np.empty((len(rows) + 2, 2))
+    points[0] = points[-1] = ref[:2]
+    points[1:-1] = rows[:, :2]
+    stairs = points.view(complex)[:, 0]
+    stairs.flags.writeable = False
+    return stairs
+
+
+def _sweep(stairs: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Staircase area of the rows of ``_stairs_of`` with each candidate
+    merged in at its place, for all candidates at once: each total gets the
+    one-candidate sweep's products in the same order. A +inf candidate is
+    never merged and yields the area of the rows alone. The candidates are
+    rows of two or more non-NaN objectives."""
+    r1, k = ref[0], len(stairs) - 2
+    c = np.ascontiguousarray(cand[:, :2]).view(complex)
+    # the rows lexicographically below each candidate
+    slot = np.searchsorted(stairs[1:-1], c)
+    # each candidate's staircase, (m, k + 2): the leading reference point,
+    # the rows before its slot, the candidate, then the rest (the trailing
+    # reference point is never taken)
+    pos = np.arange(-1, k + 1)
+    steps = stairs[pos + (pos <= slot)]
+    steps[pos == slot] = c[:, 0]
+    f1, f2 = steps.real[:, 1:], steps.imag[:, 1:]
+    # the lowest step so far, from r2; a step adds area only below it
+    prev = np.fmin.accumulate(steps.imag[:, :-1], axis=1)
     terms = np.where(f2 < prev, (r1 - f1) * (prev - f2), 0.0)
     # in order, left to right: a pairwise sum would round differently
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def _volume(front: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Volume of a set's ``_front`` with each in-box candidate that no front row
-    dominates or equals merged in; a +inf row gives the front's own volume.
-    In 3-D it sums, in ascending order, one slice per level of the candidate
-    and of the rows it does not dominate: the sweep of the rows at or below."""
+def _volume_with(aset: ApproximationSet, cand: np.ndarray) -> np.ndarray:
+    """Volume of the set's ``_front`` with each in-box candidate that no front
+    row dominates or equals merged in; a +inf row gives the front's own
+    volume. In 3-D it sums, in ascending order, one slice per level of the
+    candidate and of the rows it does not dominate: the sweep of the rows at
+    or below."""
+    ref, front = aset._front
     if ref.size == 1:
         return ref[0] - np.minimum(cand[:, 0], front[:, 0].min(initial=ref[0]))
     if ref.size == 2:
-        return _sweep(front, cand, ref)
+        return _sweep(aset._stairs, cand, ref)
     beaten = (cand[None, :, :] <= front[:, None, :]).all(axis=2)
     levels = np.unique(np.concatenate([front[:, 2], cand[:, 2]]))
     levels = levels[levels < ref[2]]
@@ -150,15 +205,14 @@ def _volume(front: np.ndarray, cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
     total = np.zeros(len(cand))
     for k, z in enumerate(levels):
         merged = np.where(cand[:, 2:] <= z, cand[:, :2], np.inf)
-        area = _sweep(front[front[:, 2] <= z], merged, ref)
+        area = _sweep(_stairs_of(front[front[:, 2] <= z], ref), merged, ref)
         np.add(total, area * (tops[k] - z), out=total, where=own[k])
     return total
 
 
 def hypervolume(aset: ApproximationSet) -> float:
     """Exact volume dominated by the set's members, bounded by the reference."""
-    ref, front = aset._front
-    return float(_volume(front, np.full((1, ref.size), np.inf), ref)[0])
+    return aset._volume
 
 
 def hypervolume_improvement(aset: ApproximationSet, candidate: Sequence[float]) -> float:
@@ -167,9 +221,9 @@ def hypervolume_improvement(aset: ApproximationSet, candidate: Sequence[float]) 
 
 
 class HviCalculator:
-    """Hypervolume improvements over a fixed set, on the set's cached front.
-    One objective row gives a float; an (m, B) array gives m values, each
-    bit-identical to the one-row result."""
+    """Hypervolume improvements over a fixed set, on the set's cached front
+    and volume. One objective row gives a float; an (m, B) array gives m
+    values, each bit-identical to the one-row result."""
 
     def __init__(self, aset: ApproximationSet):
         self.aset = aset
@@ -183,15 +237,13 @@ class HviCalculator:
         C = cand.reshape(-1, self.n_obj)
         front, ref = self._front, self.ref
         # zero on or outside the box (NaN too) or where a member dominates or equals it
-        zero = ~(C < ref).all(axis=1) | (front[:, None, :] <= C).all(axis=2).any(axis=0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            if self.n_obj == 1:
-                gain = front[:, 0].min(initial=ref[0]) - C[:, 0]
-            else:
-                # zeroed rows become +inf, never merged; the last +inf row
-                # gives the set's own volume
-                rows = np.where(zero[:, None], np.inf, C)
-                totals = _volume(front, np.vstack([rows, np.full(ref.size, np.inf)]), ref)
-                gain = totals[:-1] - totals[-1]
+        covered = (self.aset._columns <= C.T[:, None, :]).all(axis=0).any(axis=0)
+        zero = ~(C < ref).all(axis=1) | covered
+        if self.n_obj == 1:
+            gain = front[:, 0].min(initial=ref[0]) - C[:, 0]
+        else:
+            # zeroed rows become +inf, never merged
+            rows = np.where(zero[:, None], np.inf, C)
+            gain = _volume_with(self.aset, rows) - self.aset._volume
         out = np.where(zero | ~(gain > 0.0), 0.0, gain)
         return float(out[0]) if cand.ndim == 1 else out

@@ -191,6 +191,18 @@ class Scenario:
 
         return sim
 
+    def hypothesis_problems(self, params: Params) -> list[str]:
+        """This scenario's hypothesis parameters in ``params`` that lie
+        outside their ``HYPOTHESIS_RANGES``."""
+        problems = []
+        for name in self.hypothesis_params:
+            if name in params and name in HYPOTHESIS_RANGES:
+                inside, allowed = HYPOTHESIS_RANGES[name]
+                if not inside(params[name]):
+                    problems.append(f"parameter {name!r} = {params[name]!r} "
+                                    f"must be {allowed}")
+        return problems
+
     def space_problems(self, space: DesignSpace) -> list[str]:
         """Mismatches between a design space and this scenario's schema."""
         names = set(space.names)
@@ -521,6 +533,22 @@ _CLUSTER_OBJECTIVES = {
         ("participants", "providers"),
         lambda x: (2.0 * x["n"], _providers(x)),
     ),
+}
+
+# hypothesis parameter -> (test, the allowed values in words), one entry per
+# name the scenarios below declare in hypothesis_params; the effect sizes
+# (delta, beta1, beta1_f, beta1_d) may take any finite value
+_LEVEL = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_SD = (lambda v: v > 0.0, "> 0")
+_VARIANCE = (lambda v: v >= 0.0, ">= 0")
+_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_CORRELATION = (lambda v: -1.0 <= v <= 1.0, "in [-1, 1]")
+HYPOTHESIS_RANGES = {
+    "alpha": _LEVEL,
+    "sigma": _SD,
+    "sigma_t2": _VARIANCE, "sigma_d2": _VARIANCE, "sigma_w2": _VARIANCE,
+    "p0": _PROBABILITY, "p1": _PROBABILITY,
+    "rho_w": _CORRELATION, "rho_t": _CORRELATION, "rho_d": _CORRELATION,
 }
 
 SCENARIOS: dict[str, Scenario] = {}

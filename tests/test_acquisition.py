@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from trialopt.acquisition import (
     PsoConfig,
     expected_improvement,
+    expected_improvement_batch,
     feasibility_quantile,
     prob_feasible_after,
     pso_maximize,
@@ -20,7 +23,7 @@ from trialopt.domain import (
     ObjectiveSpec,
 )
 from trialopt.gp import KernelParams, build_model, gp_predict
-from trialopt.pareto import ApproximationSet, hypervolume_improvement
+from trialopt.pareto import ApproximationSet, hypervolume_improvement, nondominated_mask
 
 
 def test_feasibility_quantile_examples():
@@ -167,6 +170,162 @@ def test_expected_improvement_monotone_in_planned_samples_when_promising():
             m_plus, s2_plus = quantile_update(m, s2, w2, 0.9)
             probs.append(prob_feasible_after(m_plus, s2_plus))
         assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
+
+
+# A frozen copy of the EI batch as it was computed before the per-set and
+# per-model caches: a fresh front and a +inf row for the set's own volume
+# in every call, the kernel from a trailing-axis sum, the feasibility
+# factors with their own where/errstate dance, and objectives and hypervolume
+# improvements on the rows with a positive probability only. The library's
+# batch must give the same bits.
+
+def ref_front(aset):
+    ref = np.array(aset.reference, dtype=float)
+    rows = aset.objective_rows
+    rows = rows[(rows < ref).all(axis=1)]
+    if ref.size == 3:
+        rows = rows[nondominated_mask(rows)]
+    return ref, rows[np.lexsort(rows.T[::-1])]
+
+
+def ref_sweep(rows, cand, ref):
+    r1, r2 = ref[0], ref[1]
+    k, c1, c2 = len(rows), cand[:, :1], cand[:, 1:2]
+    slot = ((rows[:, 0] < c1) | ((rows[:, 0] == c1) & (rows[:, 1] < c2))).sum(
+        axis=1, keepdims=True)
+    pos = np.arange(k + 1)
+    src, here = pos - (pos > slot), pos == slot
+    f1 = np.where(here, c1, np.append(rows[:, 0], r1)[src])
+    f2 = np.where(here, c2, np.append(rows[:, 1], r2)[src])
+    prev = np.fmin.accumulate(np.hstack([np.full_like(c2, r2), f2[:, :-1]]), axis=1)
+    terms = np.where(f2 < prev, (r1 - f1) * (prev - f2), 0.0)
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def ref_volume(front, cand, ref):
+    if ref.size == 2:
+        return ref_sweep(front, cand, ref)
+    beaten = (cand[None, :, :] <= front[:, None, :]).all(axis=2)
+    levels = np.unique(np.concatenate([front[:, 2], cand[:, 2]]))
+    levels = levels[levels < ref[2]]
+    own = (cand[:, 2] == levels[:, None]) | (
+        (front[:, None, 2] == levels[:, None, None]) & ~beaten).any(axis=1)
+    tops, top = np.empty(own.shape), np.full(len(cand), ref[2])
+    for k in reversed(range(len(levels))):
+        tops[k] = top
+        top = np.where(own[k], levels[k], top)
+    total = np.zeros(len(cand))
+    for k, z in enumerate(levels):
+        merged = np.where(cand[:, 2:] <= z, cand[:, :2], np.inf)
+        area = ref_sweep(front[front[:, 2] <= z], merged, ref)
+        np.add(total, area * (tops[k] - z), out=total, where=own[k])
+    return total
+
+
+def ref_hvi(aset, C):
+    ref, front = ref_front(aset)
+    zero = ~(C < ref).all(axis=1) | (front[:, None, :] <= C).all(axis=2).any(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if ref.size == 1:
+            gain = front[:, 0].min(initial=ref[0]) - C[:, 0]
+        else:
+            rows = np.where(zero[:, None], np.inf, C)
+            totals = ref_volume(front, np.vstack([rows, np.full(ref.size, np.inf)]), ref)
+            gain = totals[:-1] - totals[-1]
+    return np.where(zero | ~(gain > 0.0), 0.0, gain)
+
+
+def ref_predict(model, X):
+    if model.n_train == 0:
+        return np.zeros(len(X)), np.full(len(X), model.params.sigma)
+    ls = np.asarray(model.params.lengthscales, dtype=float)
+    d2 = ((model.inputs[:, None, :] - X[None, :, :]) / ls) ** 2
+    k_star = model.params.sigma * np.exp(-d2.sum(axis=-1))
+    v = solve_triangular(model.chol, k_star, lower=True)
+    var = model.params.sigma - np.einsum("ij,ij->j", v, v)
+    return k_star.T @ model.alpha, np.maximum(var, 0.0)
+
+
+def ref_feasible(mean, var, omega2, p):
+    denom = omega2 + var
+    safe = np.where(denom > 0, denom, 1.0)
+    s2_plus = np.where(denom > 0, var * var / safe, 0.0)
+    m_plus = mean + ndtri(p) * np.sqrt(np.where(denom > 0, omega2 * var / safe, 0.0))
+    s = np.sqrt(s2_plus)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > 0, ndtr(-m_plus / np.where(s > 0, s, 1.0)),
+                        (m_plus <= 0).astype(float))
+
+
+def ref_ei_batch(X, models, constraints, current, objectives, planned_n, space):
+    unit = (X - space.lower) / (space.upper - space.lower)
+    prob = np.ones(X.shape[0])
+    for con in constraints:
+        mean, var = ref_predict(models[con.label], unit)
+        rate = np.clip(mean + con.nominal, 1.0 / (2.0 * planned_n),
+                       1.0 - 1.0 / (2.0 * planned_n))
+        omega2 = rate * (1.0 - rate) / planned_n
+        prob *= ref_feasible(mean, var, omega2, con.confidence)
+    out = np.zeros(X.shape[0])
+    live = np.flatnonzero(~(prob <= 0.0))
+    if live.size:
+        out[live] = ref_hvi(current, objectives(X[live])) * prob[live]
+    return out, prob
+
+
+def ei_cases():
+    """Sets of 1-3 objectives (some empty), one or two constraints (some
+    models with no training rows, some deeply infeasible), and candidate
+    rows in the box, outside it, equal to a member or dominated by one,
+    beside real-valued ones."""
+    rng = np.random.default_rng(21)
+    space = DesignSpace((Dimension("n", 10, 200, "integer"), Dimension("r", 0.5, 2.0)))
+    formulas = {1: lambda X: (X[:, 0] * X[:, 1],),
+                2: lambda X: (X[:, 0], 10.0 / X[:, 1]),
+                3: lambda X: (X[:, 0], 10.0 / X[:, 1], X[:, 0] * X[:, 1])}
+    for trial in range(36):
+        formula = formulas[1 + trial % 3]
+        objectives = ObjectiveSpec(tuple(f"f{i}" for i in range(1 + trial % 3)),
+                                   lambda X, f=formula: np.column_stack(f(X)))
+        members = np.column_stack([rng.integers(10, 201, 16).astype(float),
+                                   rng.uniform(0.5, 2.0, 16)])
+        objs = objectives(members)
+        kept = zip(members, objs) if trial % 6 else ()
+        current = ApproximationSet(tuple((DesignPoint(tuple(m)), tuple(o)) for m, o in kept),
+                                   tuple(np.quantile(objs, 0.9, axis=0) + 1.0))
+        X = np.column_stack([rng.uniform(10, 200, 40), rng.uniform(0.5, 2.0, 40)])
+        X[:8:2] = np.round(X[:8:2])
+        X[8:12] = members[:4]  # equal to a member
+        X[12:16] = members[:4] + [5.0, -0.1]  # dominated by it
+        X[16:18] = [200.0, 0.5]  # outside the box
+        constraints, models = [], {}
+        for j in range(1 + trial % 2):
+            constraints.append(Constraint(f"g{j}", "h", nominal=0.1, confidence=0.9))
+            n_train = 0 if trial % 5 == 4 and j == 0 else 12
+            shift = 3.0 if trial % 4 == 3 else 0.0  # deeply infeasible
+            params = KernelParams(float(rng.uniform(0.001, 0.1)),
+                                  tuple(rng.uniform(0.1, 1.0, 2)))
+            models[f"g{j}"] = build_model(rng.random((n_train, 2)),
+                                          rng.normal(shift - 0.05, 0.05, n_train),
+                                          np.full(n_train, 1e-3), params)
+        yield X, models, constraints, current, objectives, int(rng.integers(20, 300)), space
+
+
+def test_ei_batch_matches_the_frozen_formulation_bitwise():
+    shapes, empty_set, untrained, dead, positive = set(), False, False, False, False
+    for X, models, constraints, current, objectives, planned_n, space in ei_cases():
+        got = expected_improvement_batch(X, models, constraints, current, objectives,
+                                         planned_n, space)
+        want, prob = ref_ei_batch(X, models, constraints, current, objectives,
+                                  planned_n, space)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        shapes.add((len(current.reference), len(constraints)))
+        empty_set |= not len(current)
+        untrained |= any(m.n_train == 0 for m in models.values())
+        dead |= bool((prob <= 0.0).any())
+        positive |= bool((want > 0.0).any())
+    assert shapes == {(b, c) for b in (1, 2, 3) for c in (1, 2)}
+    assert empty_set and untrained and dead and positive
 
 
 def box(*dims):

@@ -22,6 +22,7 @@ from trialopt.cli import (
     normalize_config,
 )
 from trialopt.engine import BudgetConfig
+from trialopt.montecarlo import SimulationError
 from trialopt.simlib import get_scenario
 
 
@@ -134,11 +135,17 @@ def test_fractional_count_exits_2_before_writing(tmp_path, capsys, section, key,
     (None, "seed", -1, "seed must be in [0, 2**64), got -1"),
     (None, "seed", 2**64, f"seed must be in [0, 2**64), got {2**64}"),
     (None, "seed", 2**70, f"seed must be in [0, 2**64), got {2**70}"),
+    ("hypotheses", "alpha", 2.0, "parameter 'alpha' = 2.0 must be in (0, 1)"),
+    ("hypotheses", "sigma", -1.0, "parameter 'sigma' = -1.0 must be > 0"),
+    ("design_space", "low", 1, "hypothesis 'alt' cannot be simulated at {'n': 1.0}: "
+                               "per-arm n must be >= 2"),
 ])
 def test_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, section,
                                                        key, value, message):
     bad = analytic_config()
     target = bad if section is None else bad[section]
+    if section == "hypotheses":
+        target = target[0]["params"]
     (target[0] if section == "design_space" else target)[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
@@ -147,6 +154,30 @@ def test_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, section
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"config error: {section or key}" in err and message in err
+
+
+CLUSTER_CONFIG = Path(__file__).resolve().parents[1] / "tools" / "configs" / "cluster_2obj.json"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c["hypotheses"][0]["params"].update(alpha=2.0),
+     "hypotheses[0]: parameter 'alpha' = 2.0 must be in (0, 1)"),
+    (lambda c: c["hypotheses"][0]["params"].update(sigma_w2=-1),
+     "hypotheses[0]: parameter 'sigma_w2' = -1.0 must be >= 0"),
+    (lambda c: c["design_space"][1].update(low=1, up=2),
+     "design_space: hypothesis 'alt' cannot be simulated at {'n': 100.0, 'k': 1.0}: "
+     "need at least 2 therapist clusters"),
+])
+def test_cluster_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, edit,
+                                                               message):
+    bad = json.loads(CLUSTER_CONFIG.read_text())
+    edit(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -472,8 +503,15 @@ def test_verify_in_locked_directory_changes_nothing(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-# the only design, n = 1, is one the two_arm_normal simulator refuses
-ABORTING_SPACE = [{"name": "n", "low": 1, "up": 1.4, "kind": "integer"}]
+@pytest.fixture
+def refusing_simulator(monkeypatch):
+    """Every Monte Carlo estimate fails, as one whose simulator raises does.
+    A config whose designs the simulator refuses outright is refused before
+    the run directory is written, so the abort is brought about here."""
+    def refuse(sim, point, hypothesis, n_samples, seed):
+        raise SimulationError("simulator refused the design", 0, seed)
+
+    monkeypatch.setattr(engine, "mc_estimate", refuse)
 
 
 def assert_aborted_with_checkpoint(out, err):
@@ -484,15 +522,17 @@ def assert_aborted_with_checkpoint(out, err):
     assert not (out / ".lock").exists()
 
 
-def test_aborted_run_leaves_checkpoint_with_config_hash(tmp_path, capsys):
-    cfg = write_config(tmp_path, design_space=ABORTING_SPACE)
+def test_aborted_run_leaves_checkpoint_with_config_hash(tmp_path, capsys,
+                                                        refusing_simulator):
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     assert_aborted_with_checkpoint(out, capsys.readouterr().err)
 
 
-def test_aborted_resume_leaves_checkpoint_with_config_hash(tmp_path, capsys):
-    cfg = write_config(tmp_path, design_space=ABORTING_SPACE)
+def test_aborted_resume_leaves_checkpoint_with_config_hash(tmp_path, capsys,
+                                                           refusing_simulator):
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     capsys.readouterr()
@@ -501,8 +541,9 @@ def test_aborted_resume_leaves_checkpoint_with_config_hash(tmp_path, capsys):
     assert_aborted_with_checkpoint(moved, capsys.readouterr().err)
 
 
-def test_verify_of_aborted_run_exits_1_and_changes_nothing(tmp_path, capsys):
-    cfg = write_config(tmp_path, design_space=ABORTING_SPACE)
+def test_verify_of_aborted_run_exits_1_and_changes_nothing(tmp_path, capsys,
+                                                           refusing_simulator):
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     capsys.readouterr()
@@ -512,12 +553,13 @@ def test_verify_of_aborted_run_exits_1_and_changes_nothing(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_unwritable_abort_checkpoint_is_reported(tmp_path, capsys, monkeypatch):
+def test_unwritable_abort_checkpoint_is_reported(tmp_path, capsys, monkeypatch,
+                                                refusing_simulator):
     def refuse(*args, **kwargs):
         raise OSError("disk full")
 
     monkeypatch.setattr(engine, "save_checkpoint", refuse)
-    cfg = write_config(tmp_path, design_space=ABORTING_SPACE)
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -588,3 +630,16 @@ def test_importing_cli_loads_neither_scipy_stats_nor_scipy_optimize():
                             text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_importing_trialopt_defaults_openblas_to_one_thread(given, expected):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = "import os, trialopt; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(env, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == expected

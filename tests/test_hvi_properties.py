@@ -2,8 +2,9 @@
 pairwise definition, hypervolume against a count of unit cells, the batch
 staircase sweep and batch hypervolume improvement against plain Python
 sweeps, and the normal CDF/quantile forms against ``scipy.stats.norm``; the
-last three bit for bit. Also: cached fronts and design-space arrays are
-read-only."""
+last three bit for bit. Also: a set's cached volume is the +inf row of any
+batch, bit for bit, and the arrays cached on sets, design spaces and GP
+models are read-only."""
 
 import itertools
 
@@ -21,10 +22,13 @@ from trialopt.acquisition import (  # noqa: E402
     quantile_update,
 )
 from trialopt.domain import DesignPoint, DesignSpace, Dimension  # noqa: E402
+from trialopt.gp import KernelParams, build_model  # noqa: E402
 from trialopt.pareto import (  # noqa: E402
     ApproximationSet,
     HviCalculator,
+    _stairs_of,
     _sweep,
+    _volume_with,
     hypervolume,
     nondominated_mask,
     pareto_filter,
@@ -224,8 +228,9 @@ def sweep_cases(draw):
 @given(sweep_cases())
 def test_batch_sweep_matches_loop_sweep(case):
     rows, cands, ref = case
-    got = _sweep(np.array(rows, dtype=float).reshape(-1, 2),
-                 np.array(cands, dtype=float), np.array(ref))
+    box = np.array(ref)
+    got = _sweep(_stairs_of(np.array(rows, dtype=float).reshape(-1, 2), box),
+                 np.array(cands, dtype=float), box)
     assert got.shape == (len(cands),)
     for c, value in zip(cands, got):
         assert same_bits(value, loop_sweep(rows, c, ref))
@@ -244,7 +249,8 @@ def test_batch_sweep_rounding_fuzz():
             cands[::3, 0] = rng.choice([r[0] for r in rows], 10)
             cands[1::3, 1] = rng.choice([r[1] for r in rows], 10)
         cands[-1] = np.inf
-        got = _sweep(np.array(rows).reshape(-1, 2), cands, np.array(ref))
+        box = np.array(ref)
+        got = _sweep(_stairs_of(np.array(rows).reshape(-1, 2), box), cands, box)
         for c, value in zip(cands, got):
             assert same_bits(value, loop_sweep(rows, c, ref))
 
@@ -263,6 +269,43 @@ def test_cached_front_and_space_arrays_are_read_only():
             arr[0] = 0
     assert space.snap([33.6, 3.0]).tolist() == [34.0, 2.0]
     assert front.tolist() == [list(m) for m in members]
+
+
+@given(hvi_cases())
+def test_cached_volume_equals_the_inf_row_of_a_batch_bitwise(case):
+    """The set's volume, swept once and cached, is what a +inf row appended
+    to any batch of candidates gives: each row is swept on its own."""
+    aset, cands = case
+    ref = np.array(aset.reference)
+    inf = np.full((1, ref.size), np.inf)
+    volume = hypervolume(aset)
+    assert isinstance(volume, float)
+    assert same_bits(volume, aset._volume)
+    assert same_bits(volume, _volume_with(aset, inf)[0])
+    if ref.size > 1:
+        outside = ~(cands < ref).all(axis=1)
+        rows = np.where(outside[:, None], np.inf, cands)
+        assert same_bits(volume, _volume_with(aset, np.vstack([rows, inf]))[-1])
+
+
+def test_cached_hvi_and_gp_arrays_are_read_only():
+    members = ((1.0, 4.0, 2.0), (2.0, 2.0, 1.0), (4.0, 1.0, 3.0))
+    aset = ApproximationSet(tuple((DesignPoint(r), r) for r in members), (5.0, 5.0, 5.0))
+    flat = ApproximationSet(tuple((DesignPoint(r), r[:2]) for r in members), (5.0, 5.0))
+    space = DesignSpace((Dimension("n", 10, 200, "integer"), Dimension("r", 0.5, 2.0)))
+    model = build_model(np.array([[0.1, 0.2], [0.7, 0.4]]), np.array([0.1, -0.2]),
+                        np.full(2, 1e-3), KernelParams(0.5, (0.3, 0.6)))
+    assert aset._columns is aset._columns  # built once
+    assert aset._columns.shape == (3, 3, 1) and aset._columns.flags.c_contiguous
+    assert flat._stairs.tolist() == [5 + 5j, 1 + 4j, 2 + 2j, 4 + 1j, 5 + 5j]
+    assert model._columns.shape == (2, 2, 1) and model._columns.flags.c_contiguous
+    assert model._columns[:, :, 0].T.tolist() == model.inputs.tolist()
+    assert model._lengthscales.tolist() == [0.3, 0.6]
+    assert space.span.tolist() == [190.0, 1.5]
+    for arr in (aset._columns, flat._stairs, space.span, model._columns,
+                model._lengthscales):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 small_grid_rows = st.integers(1, 3).flatmap(

@@ -17,6 +17,8 @@ import trialopt
 from trialopt.domain import DesignPoint, DesignSpace, Dimension, Hypothesis
 from trialopt.montecarlo import _BLOCK_DOUBLES, _CHUNK, Batch, mc_estimate
 from trialopt.simlib import (
+    HYPOTHESIS_RANGES,
+    SCENARIOS,
     UnknownScenarioError,
     _arm_level_layout,
     _cluster_layout,
@@ -331,6 +333,35 @@ def test_scenario_space_schema_check():
     problems = s.space_problems(bad)
     assert any("needs design parameter" in p for p in problems)
     assert any("unknown to scenario" in p for p in problems)
+
+
+def test_every_built_in_hypothesis_parameter_but_the_effects_has_a_range():
+    effects = {"delta", "beta1", "beta1_f", "beta1_d"}
+    for scenario in SCENARIOS.values():
+        assert set(scenario.hypothesis_params) - effects <= set(HYPOTHESIS_RANGES)
+    edges = {
+        "alpha": ([1e-9, 0.5, 1 - 1e-9], [0.0, 1.0, -0.1]),
+        "sigma": ([1e-9, 3.0], [0.0, -1.0]),
+        "sigma_w2": ([0.0, 3.29], [-1e-12, -1.0]),
+        "p0": ([0.0, 0.3, 1.0], [-1e-12, 1.5]),
+        "rho_t": ([-1.0, 0.0, 1.0], [-1.5, 1.0000001]),
+    }
+    for name, (inside, outside) in edges.items():
+        test, _ = HYPOTHESIS_RANGES[name]
+        assert all(test(v) for v in inside), name
+        assert not any(test(v) for v in outside), name
+
+
+def test_hypothesis_problems_name_each_parameter_out_of_range():
+    s = get_scenario("co_primary")
+    hp = {"beta1_f": -5.0, "beta1_d": 0.3, "rho_w": 1.2, "rho_t": 0.1, "rho_d": -1.0,
+          "sigma_t2": 0.0, "sigma_d2": -0.5, "sigma_w2": 3.0, "alpha": 0.05}
+    assert s.hypothesis_problems(hp) == [
+        "parameter 'rho_w' = 1.2 must be in [-1, 1]",
+        "parameter 'sigma_d2' = -0.5 must be >= 0",
+    ]
+    # a parameter the scenario does not declare is not its to judge
+    assert get_scenario("pilot_either").hypothesis_problems({"alpha": 7.0}) == []
 
 
 def test_objective_formulas():
