@@ -30,9 +30,7 @@ from .domain import (
     Hypothesis,
     ObjectiveSpec,
     Problem,
-    ValidationReport,
     constraint_value,
-    validate_problem,
 )
 from .engine import (
     BudgetConfig,

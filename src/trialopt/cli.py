@@ -43,7 +43,8 @@ from .domain import (
     Hypothesis,
     ObjectiveSpec,
     Problem,
-    constraint_problems,
+    cross_problems,
+    not_a_string,
     pool_by_design,
 )
 from .engine import BudgetConfig, CheckpointError, RunAborted, RunState
@@ -99,7 +100,14 @@ def load_config(path: str | Path) -> dict:
 
 
 def normalize_config(raw: Mapping) -> dict:
-    """Fill defaults and validate; raises ConfigError listing every problem."""
+    """Fill defaults and judge a raw config: every problem found comes in one
+    ConfigError, each once, and nothing is written before this returns.
+
+    Each entry is built into its domain object, whose constructor judges it;
+    then ``domain.cross_problems`` and the scenario's schema judge what
+    parsed. An entry that failed its own checks is not judged again through
+    another, so a constraint on a malformed hypothesis is not also reported
+    as unknown. A config that normalizes builds with ``build_problem``."""
     problems: list[str] = []
     cfg: dict = {}
 
@@ -114,102 +122,94 @@ def normalize_config(raw: Mapping) -> dict:
             problems.append(str(exc))
     cfg["scenario"] = scenario_name
 
-    dims = raw.get("design_space")
-    cfg["design_space"] = []
-    if not isinstance(dims, list) or not dims:
-        problems.append("'design_space' must be a non-empty list")
+    raw_dims = raw.get("design_space")
+    dims: list[Dimension] = []
+    space = None
+    if not isinstance(raw_dims, list):
+        problems.append("'design_space' must be a list")
     else:
-        for i, d in enumerate(dims):
+        for i, d in enumerate(raw_dims):
             if not isinstance(d, dict) or not {"name", "low", "up"} <= set(d):
                 problems.append(f"design_space[{i}] needs name/low/up")
                 continue
-            entry = _attempt(problems, f"design_space[{i}]", lambda: {
-                "name": d["name"], "low": _finite(d["low"], "low"),
-                "up": _finite(d["up"], "up"),
-                "kind": d.get("kind", "continuous"),
-            })
-            if entry is not None:
-                cfg["design_space"].append(entry)
+            dim = _attempt(problems, f"design_space[{i}]", lambda: Dimension(
+                d["name"], _finite(d["low"], "low"), _finite(d["up"], "up"),
+                d.get("kind", "continuous")))
+            if dim is not None:
+                dims.append(dim)
+        # an empty list is judged by the space; one whose every entry failed is not
+        if dims or not raw_dims:
+            space = _attempt(problems, "design_space", lambda: DesignSpace(dims))
+    cfg["design_space"] = [{"name": d.name, "low": d.lower, "up": d.upper,
+                            "kind": d.kind} for d in dims]
+    # the space the config gives, known only when every entry parsed
+    whole = space if space is not None and len(dims) == len(raw_dims) else None
 
-    hyps = raw.get("hypotheses")
-    cfg["hypotheses"] = []
-    # every entry that names a hypothesis, well-formed or not: a constraint on
-    # a malformed one is reported once, by that entry's own problem
-    hyp_names = []
-    if not isinstance(hyps, list) or not hyps:
+    raw_hyps = raw.get("hypotheses")
+    hyps: list[Hypothesis] = []
+    # every name a hypothesis entry gives, well-formed or not
+    hyp_names: dict[str, None] = {}
+    if not isinstance(raw_hyps, list) or not raw_hyps:
         problems.append("'hypotheses' must be a non-empty list")
     else:
-        for i, h in enumerate(hyps):
-            if isinstance(h, dict) and "name" in h:
-                hyp_names.append(h["name"])
+        for i, h in enumerate(raw_hyps):
+            if isinstance(h, dict) and isinstance(h.get("name"), str):
+                hyp_names[h["name"]] = None
             if not isinstance(h, dict) or "name" not in h or "params" not in h:
                 problems.append(f"hypotheses[{i}] needs name and params")
                 continue
-            entry = _attempt(problems, f"hypotheses[{i}]", lambda: {
-                "name": h["name"],
-                "params": {k: _finite(v, k) for k, v in dict(h["params"]).items()},
-                "event": h.get("event", "reject"),
-            })
-            if entry is None:
+            hyp = _attempt(problems, f"hypotheses[{i}]", lambda: Hypothesis(
+                h["name"], {k: _finite(v, k) for k, v in dict(h["params"]).items()},
+                h.get("event", "reject")))
+            if hyp is None:
                 continue
-            cfg["hypotheses"].append(entry)
+            hyps.append(hyp)
             if scenario is not None:
-                missing = [p for p in scenario.hypothesis_params
-                           if p not in entry["params"]]
+                missing = [p for p in scenario.hypothesis_params if p not in hyp.params]
                 if missing:
-                    problems.append(
-                        f"hypothesis {entry['name']!r} missing scenario "
-                        f"parameter(s): {', '.join(missing)}"
-                    )
+                    problems.append(f"hypothesis {hyp.name!r} missing scenario "
+                                    f"parameter(s): {', '.join(missing)}")
                 problems.extend(f"hypotheses[{i}]: {problem}" for problem
-                                in scenario.hypothesis_problems(entry["params"]))
+                                in scenario.hypothesis_problems(hyp.params))
+    cfg["hypotheses"] = [asdict(h) for h in hyps]
 
-    cons = raw.get("constraints")
-    cfg["constraints"] = []
-    if not isinstance(cons, list) or not cons:
+    raw_cons = raw.get("constraints")
+    cons: list[Constraint] = []
+    if not isinstance(raw_cons, list) or not raw_cons:
         problems.append("'constraints' must be a non-empty list")
     else:
-        for i, c in enumerate(cons):
+        for i, c in enumerate(raw_cons):
             if not isinstance(c, dict) or not {"label", "hypothesis", "nominal"} <= set(c):
                 problems.append(f"constraints[{i}] needs label/hypothesis/nominal")
                 continue
-            entry = _attempt(problems, f"constraints[{i}]", lambda: {
-                "label": c["label"], "hypothesis": c["hypothesis"],
-                "nominal": float(c["nominal"]),
-                "confidence": float(c.get("confidence", 0.9)),
-            })
-            if entry is not None:
-                cfg["constraints"].append(entry)
-        problems.extend(constraint_problems(
-            [Constraint(**c) for c in cfg["constraints"]], hyp_names))
+            con = _attempt(problems, f"constraints[{i}]", lambda: Constraint(
+                c["label"], c["hypothesis"], float(c["nominal"]),
+                float(c.get("confidence", 0.9))))
+            if con is not None:
+                cons.append(con)
+    cfg["constraints"] = [asdict(c) for c in cons]
 
     obj = raw.get("objectives")
+    entry = None  # the normalized entry, once it parsed
     if not isinstance(obj, dict):
         problems.append("'objectives' must be an object")
-        cfg["objectives"] = {}
     elif "formula" in obj:
-        cfg["objectives"] = {"formula": obj["formula"]}
-        if scenario is not None and obj["formula"] not in scenario.objective_formulas:
-            known = ", ".join(sorted(scenario.objective_formulas))
-            problems.append(
-                f"objective formula {obj['formula']!r} unknown to scenario "
-                f"{scenario.name!r} (known: {known})"
-            )
+        wrong = not_a_string("formula", obj["formula"])
+        problems.extend(f"objectives: {problem}" for problem in wrong)
+        if scenario is not None and not wrong:
+            if obj["formula"] in scenario.objective_formulas:
+                entry = {"formula": obj["formula"]}
+            else:
+                known = ", ".join(sorted(scenario.objective_formulas))
+                problems.append(f"objective formula {obj['formula']!r} unknown to "
+                                f"scenario {scenario.name!r} (known: {known})")
     elif "coefficients" in obj and "labels" in obj:
-        labels, coeffs = _attempt(problems, "objectives", lambda: (
-            list(obj["labels"]),
-            [[float(v) for v in row] for row in obj["coefficients"]],
-        )) or ([], [])
-        cfg["objectives"] = {"labels": labels, "coefficients": coeffs}
-        if len(coeffs) != len(labels):
-            problems.append("objectives: one coefficient row per label required")
-        if cfg["design_space"] and any(
-            len(row) != len(cfg["design_space"]) for row in coeffs
-        ):
-            problems.append("objectives: coefficient rows must match design dimensions")
+        entry = _attempt(problems, "objectives", lambda: _linear_objectives(obj, whole))
     else:
         problems.append("'objectives' needs either a formula or labels+coefficients")
-        cfg["objectives"] = {}
+    cfg["objectives"] = entry or {}
+    objectives = None if entry is None else _attempt(
+        problems, "objectives", lambda: build_objectives(entry, scenario, ()))
 
     ref = raw.get("reference_point")
     if not isinstance(ref, list) or not ref:
@@ -219,6 +219,11 @@ def normalize_config(raw: Mapping) -> dict:
         cfg["reference_point"] = _attempt(
             problems, "reference_point",
             lambda: [_finite(v, "reference_point") for v in ref])
+
+    problems.extend(cross_problems(cons, hyp_names, objectives,
+                                   cfg["reference_point"] or None))
+    if scenario is not None and whole is not None:
+        problems.extend(scenario.space_problems(whole))
 
     # defaults from the domain objects, whose own checks then judge the values
     for key, default, build in (("budget", BudgetConfig(), budget_from_config),
@@ -246,33 +251,16 @@ def config_hash(cfg: Mapping) -> str:
 
 def build_problem(cfg: Mapping) -> tuple[Problem, TrialSimulator]:
     """Turn a normalized config into domain objects plus the scenario's
-    simulator, which serves every hypothesis.
-
-    Raises ConfigError listing every structural problem found.
-    """
+    simulator, which serves every hypothesis. Judges nothing of its own:
+    ``normalize_config`` has applied every rule the constructors apply."""
     scenario = get_scenario(cfg["scenario"])
-    space = DesignSpace(tuple(
-        Dimension(d["name"], d["low"], d["up"], d["kind"])
-        for d in cfg["design_space"]
-    ))
-    hypotheses = {
-        h["name"]: Hypothesis(h["name"], h["params"], h.get("event", "reject"))
-        for h in cfg["hypotheses"]
-    }
-    constraints = tuple(
-        Constraint(c["label"], c["hypothesis"], c["nominal"], c["confidence"])
-        for c in cfg["constraints"]
-    )
-
+    space = DesignSpace(tuple(Dimension(d["name"], d["low"], d["up"], d["kind"])
+                              for d in cfg["design_space"]))
+    hypotheses = {h["name"]: Hypothesis(**h) for h in cfg["hypotheses"]}
+    constraints = tuple(Constraint(**c) for c in cfg["constraints"])
     objectives = build_objectives(cfg["objectives"], scenario, space.names)
     problem = Problem(space, objectives, constraints, hypotheses,
                       tuple(cfg["reference_point"]))
-
-    problems = list(problem.validate().problems)
-    problems.extend(scenario.space_problems(space))
-    if problems:
-        raise ConfigError(problems)
-
     return problem, scenario.simulator(space)
 
 
@@ -326,6 +314,20 @@ def _finite(value, name: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def _linear_objectives(obj: Mapping, space: DesignSpace | None) -> dict:
+    """A normalized linear ``objectives`` entry: a list of labels and one row
+    of finite coefficients per label, one per dimension of ``space`` (not
+    judged without a space)."""
+    if not isinstance(obj["labels"], list):
+        raise TypeError(f"labels must be a list, got {obj['labels']!r}")
+    rows = [[_finite(v, "coefficients") for v in row] for row in obj["coefficients"]]
+    if len(rows) != len(obj["labels"]):
+        raise ValueError("one coefficient row per label required")
+    if space is not None and any(len(row) != space.ndim for row in rows):
+        raise ValueError("coefficient rows must match design dimensions")
+    return {"labels": list(obj["labels"]), "coefficients": rows}
 
 
 def build_objectives(obj_cfg: Mapping, scenario: Scenario,
@@ -519,10 +521,16 @@ def write_report(path: Path, problem: Problem, state: RunState,
 # commands
 # ---------------------------------------------------------------------------
 
-def _apply_overrides(raw: Mapping, seed=None, iterations=None, n_per_eval=None) -> dict:
+def _apply_overrides(raw: Mapping, seed=None, iterations=None, n_per_eval=None,
+                     nominals: Mapping[str, float] | None = None) -> dict:
     """The raw config with the command line's values in place of its own, so
-    that ``normalize_config`` checks them too."""
+    that ``normalize_config`` checks them too. ``nominals`` maps constraint
+    labels to revised bounds; the raw config must have normalized."""
     raw = dict(raw)
+    if nominals:
+        raw["constraints"] = [{**c, "nominal": nominals[c["label"]]}
+                              if c["label"] in nominals else c
+                              for c in raw["constraints"]]
     if seed is not None:
         raw["seed"] = int(seed)
     budget = raw.get("budget") or {}
@@ -642,7 +650,8 @@ def cmd_resume(checkpoint: str, iterations: int = 0,
     cfg_path = run_dir / CONFIG_NAME
     if not cfg_path.exists():
         raise ConfigError([f"no {CONFIG_NAME} found next to {checkpoint}"])
-    cfg = normalize_config(json.loads(cfg_path.read_text()))
+    raw = load_config(cfg_path)
+    cfg = normalize_config(raw)
 
     data = engine.load_checkpoint(ckpt_path)
     if data.config_hash is not None and data.config_hash != config_hash(cfg):
@@ -651,18 +660,12 @@ def cmd_resume(checkpoint: str, iterations: int = 0,
              f"(hash {data.config_hash[:12]}... != {config_hash(cfg)[:12]}...)"]
         )
 
-    nominals = dict(nominals or {})
-    if nominals:
-        labels = {c["label"] for c in cfg["constraints"]}
-        unknown = sorted(set(nominals) - labels)
-        if unknown:
-            raise ConfigError(
-                [f"--nominal references unknown constraint {u!r}" for u in unknown]
-            )
-        for c in cfg["constraints"]:
-            if c["label"] in nominals:
-                c["nominal"] = nominals[c["label"]]
-
+    unknown = sorted(set(nominals or {}) - {c["label"] for c in cfg["constraints"]})
+    if unknown:
+        raise ConfigError(
+            [f"--nominal references unknown constraint {u!r}" for u in unknown]
+        )
+    cfg = normalize_config(_apply_overrides(raw, nominals=nominals))
     problem, sim = build_problem(cfg)
 
     out = Path(out_dir) if out_dir else run_dir
@@ -714,7 +717,7 @@ def cmd_verify(run_dir: str, n_verify: int = 100000) -> int:
         raise ConfigError([f"no {CONFIG_NAME} in {run_dir}"])
     if n_verify < 1:
         raise ConfigError([f"--n-verify must be >= 1, got {n_verify}"])
-    cfg = normalize_config(json.loads(cfg_path.read_text()))
+    cfg = normalize_config(load_config(cfg_path))
     problem, sim = build_problem(cfg)
     with RunLock(run):
         data = engine.load_checkpoint(run / CHECKPOINT_NAME)

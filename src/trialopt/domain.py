@@ -8,9 +8,10 @@ to share across concurrent evaluators.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,24 +31,58 @@ def _read_only(values, dtype) -> np.ndarray:
     return out
 
 
+def not_a_string(field: str, value) -> list[str]:
+    """The problem of ``value`` as the string ``field`` must be; empty for a string."""
+    return [] if isinstance(value, str) else [f"{field} must be a string, got {value!r}"]
+
+
+def _refuse(problems: Sequence[str]) -> None:
+    """Raise one ValueError naming every problem an object found in itself."""
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def _repeated(names: Iterable[str]) -> list[str]:
+    """Each name that occurs more than once, once."""
+    return [name for name, count in Counter(names).items() if count > 1]
+
+
 @dataclass(frozen=True)
 class Dimension:
-    """One design parameter with box bounds."""
+    """One design parameter with box bounds; refuses an unknown kind, bounds
+    out of order and an integer dimension whose box holds no integer."""
 
     name: str
     lower: float
     upper: float
     kind: str = CONTINUOUS
 
+    def __post_init__(self):
+        problems = not_a_string("name", self.name)
+        if self.kind not in DIM_KINDS:
+            problems.append(f"dimension {self.name!r} has unknown kind {self.kind!r}")
+        if not self.lower < self.upper:
+            problems.append(f"dimension {self.name!r} has degenerate bound "
+                            f"[{self.lower}, {self.upper}]")
+        elif self.kind == INTEGER and math.ceil(self.lower) > math.floor(self.upper):
+            problems.append(f"integer dimension {self.name!r} contains no integer "
+                            f"in [{self.lower}, {self.upper}]")
+        _refuse(problems)
+
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """The solution space: an axis-aligned box, one Dimension per parameter."""
+    """The solution space: an axis-aligned box, one Dimension per parameter;
+    refuses an empty box and a name given twice."""
 
     dims: tuple[Dimension, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
+        problems = [] if self.dims else ["design space has no dimensions"]
+        problems += [f"duplicate dimension name {name!r}"
+                     for name in _repeated(self.names)]
+        _refuse(problems)
 
     @property
     def ndim(self) -> int:
@@ -131,6 +166,10 @@ class Hypothesis:
 
     def __post_init__(self):
         object.__setattr__(self, "params", dict(self.params))
+        problems = not_a_string("name", self.name)
+        if self.event not in EVENTS:
+            problems.append(f"hypothesis {self.name!r} has unknown event {self.event!r}")
+        _refuse(problems)
 
 
 @dataclass(frozen=True)
@@ -139,13 +178,25 @@ class Constraint:
 
     ``nominal`` is the bound on the rate (e.g. 0.1 for a type II error rate
     constraint) and ``confidence`` is the quantile level p used when deciding
-    feasibility from the surrogate model.
+    feasibility from the surrogate model. A nominal outside (0, 1) and a
+    confidence outside (0.5, 1) are refused.
     """
 
     label: str
     hypothesis: str
     nominal: float
     confidence: float = 0.9
+
+    def __post_init__(self):
+        problems = not_a_string("label", self.label)
+        problems += not_a_string("hypothesis", self.hypothesis)
+        if not 0.0 < self.nominal < 1.0:
+            problems.append(f"constraint {self.label!r} nominal {self.nominal} "
+                            "outside (0, 1)")
+        if not 0.5 < self.confidence < 1.0:
+            problems.append(f"constraint {self.label!r} confidence {self.confidence} "
+                            "outside (0.5, 1)")
+        _refuse(problems)
 
 
 @dataclass(frozen=True)
@@ -157,6 +208,7 @@ class ObjectiveSpec:
     row i of the input alone, so a batch gives the values one-row calls
     would. Calling the spec accepts one design (D,) and returns (B,), or
     (m, D) and returns (m, B); any other result shape raises ValueError.
+    The labels must be distinct strings, at least one.
     """
 
     labels: tuple[str, ...]
@@ -164,6 +216,13 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        problems = [] if self.labels else ["at least one objective is required"]
+        problems += [problem for label in self.labels
+                     for problem in not_a_string("objective label", label)]
+        if not problems:
+            problems += [f"duplicate objective label {label!r}"
+                         for label in _repeated(self.labels)]
+        _refuse(problems)
 
     @property
     def n_objectives(self) -> int:
@@ -241,95 +300,46 @@ def constraint_value(estimate: float, constraint: Constraint) -> float:
     return estimate - constraint.nominal
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """All structural problems found; empty means well-formed."""
-
-    problems: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def constraint_problems(constraints: Sequence[Constraint],
-                        hypotheses: Container[str] | None = None) -> list[str]:
-    """Duplicate labels, nominals outside (0, 1), confidences outside (0.5, 1)
-    and, given the hypothesis names, references to unknown hypotheses."""
-    problems: list[str] = []
-    seen_labels: set[str] = set()
-    for con in constraints:
-        if con.label in seen_labels:
-            problems.append(f"duplicate label {con.label!r}")
-        seen_labels.add(con.label)
-        if not 0.0 < con.nominal < 1.0:
-            problems.append(f"constraint {con.label!r} nominal {con.nominal} "
-                            "outside (0, 1)")
-        if not 0.5 < con.confidence < 1.0:
-            problems.append(f"constraint {con.label!r} confidence {con.confidence} "
-                            "outside (0.5, 1)")
-        if hypotheses is not None and con.hypothesis not in hypotheses:
-            problems.append(f"constraint {con.label!r} references unknown "
-                            f"hypothesis {con.hypothesis!r}")
-    return problems
-
-
-def validate_problem(
-    space: DesignSpace,
-    objectives: ObjectiveSpec,
+def cross_problems(
     constraints: Sequence[Constraint],
-    hypotheses: Mapping[str, Hypothesis] | None = None,
-) -> ValidationReport:
-    """Check every structural invariant of a problem definition.
+    hypotheses: Mapping[str, Hypothesis | None],
+    objectives: ObjectiveSpec | None = None,
+    reference_point: Sequence[float] | None = None,
+) -> list[str]:
+    """The rules that compare a problem's parts with each other: constraint
+    labels are distinct, each constraint names a known hypothesis, each
+    hypothesis is keyed by its own name, and the reference point has one
+    entry per objective (judged only when both are given).
 
-    Returns a report listing each violation; an empty report means the
-    problem is well-formed. Cross-references against hypotheses are checked
-    only when ``hypotheses`` is supplied.
+    A name mapped to None is a hypothesis known by name alone, such as a
+    config entry that failed its own checks: a constraint may name it, so
+    that entry's fault is reported once.
     """
-    problems: list[str] = []
-
-    if space.ndim < 1:
-        problems.append("design space has no dimensions")
-    seen_names: set[str] = set()
-    for dim in space.dims:
-        if dim.name in seen_names:
-            problems.append(f"duplicate dimension name {dim.name!r}")
-        seen_names.add(dim.name)
-        if dim.kind not in DIM_KINDS:
-            problems.append(f"dimension {dim.name!r} has unknown kind {dim.kind!r}")
-        if not dim.lower < dim.upper:
-            problems.append(f"dimension {dim.name!r} has degenerate bound "
-                            f"[{dim.lower}, {dim.upper}]")
-        elif dim.kind == INTEGER and math.ceil(dim.lower) > math.floor(dim.upper):
-            problems.append(f"integer dimension {dim.name!r} contains no integer "
-                            f"in [{dim.lower}, {dim.upper}]")
-
-    if objectives.n_objectives < 1:
-        problems.append("at least one objective is required")
-    if len(set(objectives.labels)) != len(objectives.labels):
-        problems.append("duplicate objective label")
-
-    problems.extend(constraint_problems(constraints, hypotheses))
-
-    if hypotheses is not None:
-        for name, hyp in hypotheses.items():
-            if hyp.name != name:
-                problems.append(f"hypothesis key {name!r} does not match its "
-                                f"name {hyp.name!r}")
-            if hyp.event not in EVENTS:
-                problems.append(f"hypothesis {name!r} has unknown event "
-                                f"{hyp.event!r}")
-
-    return ValidationReport(tuple(problems))
+    problems = [f"duplicate label {label!r}"
+                for label in _repeated(c.label for c in constraints)]
+    problems += [f"constraint {con.label!r} references unknown hypothesis "
+                 f"{con.hypothesis!r}" for con in constraints
+                 if con.hypothesis not in hypotheses]
+    problems += [f"hypothesis key {name!r} does not match its name {hyp.name!r}"
+                 for name, hyp in hypotheses.items()
+                 if hyp is not None and hyp.name != name]
+    if (objectives is not None and reference_point is not None
+            and len(reference_point) != objectives.n_objectives):
+        problems.append(f"reference point has {len(reference_point)} entries for "
+                        f"{objectives.n_objectives} objectives")
+    return problems
 
 
 @dataclass(frozen=True)
 class Problem:
     """A full optimization problem: space, objectives, constraints, hypotheses
-    and the hypervolume reference point."""
+    and the hypervolume reference point.
+
+    Each part refuses at construction what it can judge alone, and a Problem
+    refuses what ``cross_problems`` finds: one ValueError names every problem,
+    each once, so a Problem that exists is well-formed. ``cli.normalize_config``
+    judges a config by these same rules before anything is written.
+    """
 
     space: DesignSpace
     objectives: ObjectiveSpec
@@ -343,18 +353,10 @@ class Problem:
         object.__setattr__(
             self, "reference_point", tuple(float(v) for v in self.reference_point)
         )
-
-    def validate(self) -> ValidationReport:
-        report = validate_problem(
-            self.space, self.objectives, self.constraints, self.hypotheses
-        )
-        problems = list(report.problems)
-        if len(self.reference_point) != self.objectives.n_objectives:
-            problems.append(
-                f"reference point has {len(self.reference_point)} entries for "
-                f"{self.objectives.n_objectives} objectives"
-            )
-        return ValidationReport(tuple(problems))
+        problems = cross_problems(self.constraints, self.hypotheses,
+                                  self.objectives, self.reference_point)
+        if problems:
+            raise ValueError("invalid problem: " + "; ".join(problems))
 
     @property
     def constrained_hypotheses(self) -> tuple[str, ...]:

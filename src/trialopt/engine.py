@@ -123,12 +123,6 @@ class RunState:
     fit_fallbacks: int = 0
 
 
-def _require_valid(problem: Problem) -> None:
-    report = problem.validate()
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.problems))
-
-
 def initial_design(problem: Problem, count: int) -> list[DesignPoint]:
     """Sobol points mapped to the design space, integer dims snapped."""
     unit = sobol_points(problem.space.ndim, count)
@@ -300,7 +294,6 @@ def run(
     conditioning failure or simulator error RunAborted is raised, carrying
     the state reached.
     """
-    _require_valid(problem)
     if not problem.constraints:
         raise ValueError("at least one constraint is required")
     state = RunState(
@@ -336,7 +329,6 @@ def resume_run(
     feasible set is recomputed before any further simulation. The problem
     must hold a constraint for every label in the checkpoint (ValueError).
     """
-    _require_valid(problem)
     unknown = sorted(set(data.params) - {c.label for c in problem.constraints})
     if unknown:
         raise ValueError("checkpoint has hyperparameters for constraint(s) "
@@ -377,7 +369,6 @@ def fixed_design_search(
     z(confidence) * mc_se``; 0.975 reproduces a two-sided 95% interval check,
     0.5 collapses the bound onto the raw estimate.
     """
-    _require_valid(problem)
     budget = BudgetConfig(iterations=0, n_per_eval=n_samples)
     state = RunState(problem=problem, budget=budget, pso=PsoConfig(), master_seed=seed)
     for point in initial_design(problem, count):

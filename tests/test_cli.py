@@ -1,19 +1,22 @@
+import copy
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialopt import engine
 from trialopt.cli import (
     ConfigError,
     budget_from_config,
-    build_problem,
     canonical_dumps,
     cmd_baseline,
     cmd_run,
@@ -139,6 +142,17 @@ def test_fractional_count_exits_2_before_writing(tmp_path, capsys, section, key,
     ("hypotheses", "sigma", -1.0, "parameter 'sigma' = -1.0 must be > 0"),
     ("design_space", "low", 1, "hypothesis 'alt' cannot be simulated at {'n': 1.0}: "
                                "per-arm n must be >= 2"),
+    ("design_space", "name", {}, "name must be a string, got {}"),
+    ("design_space", "kind", ["integer"], "dimension 'n' has unknown kind ['integer']"),
+    ("constraints", "label", [1], "label must be a string, got [1]"),
+    ("constraints", "hypothesis", [1], "hypothesis must be a string, got [1]"),
+    ("objectives", "formula", ["x"], "formula must be a string, got ['x']"),
+    (None, "objectives", {"labels": "ab", "coefficients": [[1.0], [2.0]]},
+     "labels must be a list, got 'ab'"),
+    (None, "objectives", {"labels": ["a", 1], "coefficients": [[1.0], [2.0]]},
+     "objective label must be a string, got 1"),
+    (None, "objectives", {"labels": ["a", "b"], "coefficients": [[2.0], [math.nan]]},
+     "coefficients must be finite, got nan"),
 ])
 def test_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, section,
                                                        key, value, message):
@@ -146,7 +160,7 @@ def test_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, section
     target = bad if section is None else bad[section]
     if section == "hypotheses":
         target = target[0]["params"]
-    (target[0] if section == "design_space" else target)[key] = value
+    (target[0] if isinstance(target, list) else target)[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     out = tmp_path / "out"
@@ -154,6 +168,7 @@ def test_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, section
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"config error: {section or key}" in err and message in err
+    assert err.count("config error:") == 1  # each problem once, none derived
 
 
 CLUSTER_CONFIG = Path(__file__).resolve().parents[1] / "tools" / "configs" / "cluster_2obj.json"
@@ -192,6 +207,111 @@ def test_non_finite_hypothesis_parameter_exits_2_before_writing(tmp_path, capsys
     assert not out.exists()
     assert (f"config error: hypotheses[0]: delta must be finite, got {value}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edit, messages", [
+    (lambda c: (c["design_space"][0].update(kind="weird"),
+                c["constraints"][0].update(nominal=2.0)),
+     ["design_space[0]: dimension 'n' has unknown kind 'weird'",
+      "constraints[0]: constraint 'typeII' nominal 2.0 outside (0, 1)"]),
+    (lambda c: (c.update(reference_point=[1100.0]),
+                c["constraints"][0].update(confidence=0.3)),
+     ["constraints[0]: constraint 'typeII' confidence 0.3 outside (0.5, 1)",
+      "reference point has 1 entries for 2 objectives"]),
+    (lambda c: (c["design_space"].append({"name": "zz", "low": 0, "up": 1}),
+                c["budget"].update(n_per_eval=0)),
+     ["design parameter 'zz' unknown to scenario 'cluster_rct'",
+      "budget: n_per_eval must be >= 1"]),
+])
+def test_problems_of_different_layers_come_in_one_report(edit, messages):
+    bad = json.loads(CLUSTER_CONFIG.read_text())
+    edit(bad)
+    with pytest.raises(ConfigError) as caught:
+        normalize_config(bad)
+    assert caught.value.problems == messages
+
+
+def test_resume_nominal_is_judged_by_the_config_rules(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg), str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["resume", str(out / "checkpoint.bin"), "--nominal", "typeII=1.5"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: constraints[0]: constraint 'typeII' nominal 1.5 outside (0, 1)\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+CONFIGS = sorted(CLUSTER_CONFIG.parent.glob("*.json"))
+# counts a config may leave out, so that a mutation can also set them
+OPTIONAL_COUNTS = [("budget", "max_total_samples"), ("pso", "swarm_size"),
+                   ("pso", "iterations"), ("pso", "seed")]
+DELETE, SWAP = object(), object()
+# type swaps, non-finite numbers, small or invalid counts, out-of-range
+# hypothesis values; never a large count, which would ask for that much work
+MUTATIONS = ["x", [1], {}, None, True, "3", 0, -1, 2.5, 1.0, 2.0, -0.5,
+             math.nan, math.inf, -math.inf, DELETE, SWAP]
+
+
+def _paths(node, prefix=()):
+    """The path of every entry below ``node``: each key of an object and
+    each index of a list."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _holds(node, key):
+    return (isinstance(node, dict) and key in node
+            or isinstance(node, list) and isinstance(key, int) and key < len(node))
+
+
+def _mutate(cfg, path, value):
+    """Set, delete or (for a design-space entry) swap the bounds of the
+    entry at ``path``; a path the config no longer holds is left alone."""
+    target = cfg
+    for key in path[:-1]:
+        if target is cfg and key in ("budget", "pso"):
+            target.setdefault(key, {})
+        if not _holds(target, key):
+            return
+        target = target[key]
+    key = path[-1]
+    if value is SWAP:
+        entry = target[key] if _holds(target, key) else None
+        if isinstance(entry, dict) and "low" in entry and "up" in entry:
+            entry["low"], entry["up"] = entry["up"], entry["low"]
+    elif value is DELETE:
+        if _holds(target, key):
+            del target[key]
+    elif isinstance(target, dict) or _holds(target, key):
+        target[key] = copy.deepcopy(value)  # the drawn list or object is shared
+
+
+@st.composite
+def mutated_configs(draw):
+    path = draw(st.sampled_from(CONFIGS))
+    cfg = json.loads(path.read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(list(_paths(cfg)) + OPTIONAL_COUNTS))
+        _mutate(cfg, where, draw(st.sampled_from(MUTATIONS)))
+    return cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(mutated_configs())
+def test_mutated_config_exits_2_before_writing_or_runs(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        code = main(["run", str(path), "--out", str(out), "--iterations", "0",
+                     "--n-per-eval", "20"])
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
 
 
 def test_malformed_hypothesis_value_is_reported_once():
@@ -568,13 +688,15 @@ def test_unwritable_abort_checkpoint_is_reported(tmp_path, capsys, monkeypatch,
     assert not (out / ".lock").exists()
 
 
-def test_build_problem_checks_scenario_schema():
-    cfg = normalize_config(analytic_config(
-        design_space=[{"name": "m", "low": 10, "up": 200, "kind": "integer"}],
-    ))
+def test_normalize_config_checks_scenario_schema():
     with pytest.raises(ConfigError) as info:
-        build_problem(cfg)
-    assert any("needs design parameter" in p for p in info.value.problems)
+        normalize_config(analytic_config(
+            design_space=[{"name": "m", "low": 10, "up": 200, "kind": "integer"}],
+        ))
+    assert info.value.problems == [
+        "scenario 'two_arm_normal' needs design parameter 'n'",
+        "design parameter 'm' unknown to scenario 'two_arm_normal'",
+    ]
 
 
 def test_linear_combination_objectives(tmp_path):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,9 +16,9 @@ from trialopt.domain import (
     ObjectiveSpec,
     Problem,
     constraint_value,
+    cross_problems,
     mc_variance_of,
     pool_by_design,
-    validate_problem,
 )
 
 
@@ -32,48 +35,79 @@ def simple_objectives():
 
 
 def test_validate_well_formed_problem_is_clean():
-    report = validate_problem(
-        two_dim_space(),
-        simple_objectives(),
-        [Constraint("typeII", "alt", 0.1, 0.9)],
-        {"alt": Hypothesis("alt", {"beta1": 1.1})},
-    )
-    assert report.ok
-    assert report.problems == ()
+    constraints = [Constraint("typeII", "alt", 0.1, 0.9)]
+    hypotheses = {"alt": Hypothesis("alt", {"beta1": 1.1})}
+    assert cross_problems(constraints, hypotheses, simple_objectives(),
+                          (1200.0, 30.0)) == []
+    problem = Problem(two_dim_space(), simple_objectives(), constraints,
+                      hypotheses, (1200.0, 30.0))
+    assert problem.constraints == tuple(constraints)
 
 
 def test_validate_degenerate_bound():
-    space = DesignSpace((Dimension("n", 100, 100),))
-    report = validate_problem(space, simple_objectives(), [])
-    assert any("degenerate bound" in p for p in report.problems)
+    with pytest.raises(ValueError, match="degenerate bound"):
+        Dimension("n", 100, 100)
 
 
 def test_validate_duplicate_constraint_label():
-    report = validate_problem(
-        two_dim_space(),
-        simple_objectives(),
-        [Constraint("g", "alt", 0.1), Constraint("g", "alt", 0.2)],
-    )
-    assert any("duplicate label" in p for p in report.problems)
+    with pytest.raises(ValueError, match="duplicate label 'g'"):
+        Problem(two_dim_space(), simple_objectives(),
+                [Constraint("g", "alt", 0.1), Constraint("g", "alt", 0.2)],
+                {"alt": Hypothesis("alt", {})}, (1200.0, 30.0))
 
 
 def test_validate_integer_dim_without_integers():
-    space = DesignSpace((Dimension("n", 3.2, 3.8, "integer"),))
-    report = validate_problem(space, simple_objectives(), [])
-    assert not report.ok
+    with pytest.raises(ValueError, match="contains no integer"):
+        Dimension("n", 3.2, 3.8, "integer")
 
 
 def test_validate_cross_references_and_ranges():
-    report = validate_problem(
-        two_dim_space(),
-        simple_objectives(),
-        [Constraint("a", "missing", 1.5, 0.4)],
-        {"alt": Hypothesis("alt", {})},
-    )
-    texts = " ".join(report.problems)
-    assert "missing" in texts
-    assert "outside (0, 1)" in texts
-    assert "outside (0.5, 1)" in texts
+    with pytest.raises(ValueError) as caught:
+        Constraint("a", "alt", 1.5, 0.4)
+    assert "outside (0, 1)" in str(caught.value)
+    assert "outside (0.5, 1)" in str(caught.value)
+    with pytest.raises(ValueError, match="unknown hypothesis 'missing'"):
+        Problem(two_dim_space(), simple_objectives(),
+                [Constraint("a", "missing", 0.1)],
+                {"alt": Hypothesis("alt", {})}, (1200.0, 30.0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Dimension("n", 1, 2, "weird"), "dimension 'n' has unknown kind 'weird'"),
+    (lambda: Dimension({}, 1, 2), "name must be a string, got {}"),
+    (lambda: Hypothesis("alt", {}, event="maybe"),
+     "hypothesis 'alt' has unknown event 'maybe'"),
+    (lambda: Hypothesis(["alt"], {}), "name must be a string, got ['alt']"),
+    (lambda: Constraint([1], "alt", 0.1), "label must be a string, got [1]"),
+    (lambda: Constraint("g", [1], 0.1), "hypothesis must be a string, got [1]"),
+    (lambda: DesignSpace(()), "design space has no dimensions"),
+    (lambda: DesignSpace((Dimension("n", 1, 2), Dimension("n", 3, 4))),
+     "duplicate dimension name 'n'"),
+    (lambda: ObjectiveSpec((), lambda X: X), "at least one objective is required"),
+    (lambda: ObjectiveSpec(("a", "a"), lambda X: X), "duplicate objective label 'a'"),
+    (lambda: ObjectiveSpec(("a", 1), lambda X: X),
+     "objective label must be a string, got 1"),
+])
+def test_each_type_refuses_what_it_can_judge_alone(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert message in str(caught.value)
+
+
+def test_problem_reports_every_cross_problem_at_once():
+    hyp = Hypothesis("alt", {})
+    with pytest.raises(ValueError) as caught:
+        Problem(two_dim_space(), simple_objectives(),
+                [Constraint("g", "alt", 0.1), Constraint("g", "null", 0.2)],
+                {"alt": hyp, "other": hyp}, (1200.0,))
+    assert str(caught.value) == (
+        "invalid problem: duplicate label 'g'; constraint 'g' references unknown "
+        "hypothesis 'null'; hypothesis key 'other' does not match its name 'alt'; "
+        "reference point has 1 entries for 2 objectives")
+
+
+def test_a_hypothesis_known_by_name_alone_may_be_referenced():
+    assert cross_problems([Constraint("g", "alt", 0.1)], {"alt": None}) == []
 
 
 def test_constraint_value_examples():
@@ -127,29 +161,29 @@ def test_normalize_denormalize_roundtrip():
 
 
 def test_revalidating_serialized_problem_gives_identical_report():
-    # round-trip the problem through plain dicts, as the config layer does
-    space = DesignSpace((Dimension("n", 100, 100),))  # deliberately broken
-    cons = [Constraint("g", "alt", 0.1), Constraint("g", "alt", 0.2)]
-    report1 = validate_problem(space, simple_objectives(), cons)
+    # round-trip the parts through plain dicts, as the config layer does
+    def refusal(build):
+        with pytest.raises(ValueError) as caught:
+            build()
+        return str(caught.value)
 
-    dims = [{"name": d.name, "lower": d.lower, "upper": d.upper, "kind": d.kind}
-            for d in space.dims]
-    cdata = [{"label": c.label, "hypothesis": c.hypothesis,
-              "nominal": c.nominal, "confidence": c.confidence} for c in cons]
-    space2 = DesignSpace(tuple(Dimension(**d) for d in dims))
-    cons2 = [Constraint(**c) for c in cdata]
-    report2 = validate_problem(space2, simple_objectives(), cons2)
-    assert report1 == report2
+    dim = {"name": "n", "lower": 100, "upper": 100, "kind": "integer"}
+    dim2 = json.loads(json.dumps(dim))
+    assert refusal(lambda: Dimension(**dim)) == refusal(lambda: Dimension(**dim2))
+    cons = [Constraint("g", "alt", 0.1), Constraint("g", "alt", 0.2)]
+    cons2 = [Constraint(**c) for c in json.loads(json.dumps([asdict(c) for c in cons]))]
+    assert cross_problems(cons, {}) == cross_problems(cons2, {})
+    assert len(cross_problems(cons, {})) == 3
 
 
 def test_problem_validates_reference_point_length():
-    problem = Problem(
-        two_dim_space(), simple_objectives(),
-        (Constraint("g", "alt", 0.1),),
-        {"alt": Hypothesis("alt", {})},
-        reference_point=(1200.0,),
-    )
-    assert any("reference point" in p for p in problem.validate().problems)
+    with pytest.raises(ValueError, match="reference point has 1 entries for 2"):
+        Problem(
+            two_dim_space(), simple_objectives(),
+            (Constraint("g", "alt", 0.1),),
+            {"alt": Hypothesis("alt", {})},
+            reference_point=(1200.0,),
+        )
 
 
 def test_constrained_hypotheses_in_constraint_order():

@@ -76,11 +76,11 @@ def test_zero_iterations_evaluates_initial_design_only():
 
 
 def test_run_requires_valid_problem():
+    # a problem is judged when built, so an invalid one never reaches ``run``
     problem, sim = analytic_problem()
-    broken = Problem(problem.space, problem.objectives, problem.constraints,
-                     problem.hypotheses, (1.0, 2.0))  # wrong reference length
-    with pytest.raises(ValueError):
-        run(broken, sim, BudgetConfig(iterations=1))
+    with pytest.raises(ValueError, match="reference point"):
+        Problem(problem.space, problem.objectives, problem.constraints,
+                problem.hypotheses, (1.0, 2.0))
 
 
 def with_type_one_constraint(problem):
