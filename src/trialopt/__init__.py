@@ -15,7 +15,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .acquisition import (
     PsoConfig,
-    expected_improvement,
     feasibility_quantile,
     prob_feasible_after,
     pso_maximize,
@@ -30,7 +29,6 @@ from .domain import (
     Hypothesis,
     ObjectiveSpec,
     Problem,
-    constraint_value,
 )
 from .engine import (
     BudgetConfig,
@@ -60,7 +58,6 @@ from .pareto import (
     ApproximationSet,
     dominates,
     hypervolume,
-    hypervolume_improvement,
     pareto_filter,
 )
 from .simlib import Scenario, get_scenario, register_scenario

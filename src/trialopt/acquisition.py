@@ -82,24 +82,6 @@ def expected_improvement_batch(
     return np.where(prob <= 0.0, 0.0, gain * prob)
 
 
-def expected_improvement(
-    candidate: Sequence[float],
-    models: Mapping[str, GpModel],
-    constraints: Sequence[Constraint],
-    current: ApproximationSet,
-    objectives: ObjectiveSpec,
-    planned_n: int,
-    space: DesignSpace,
-) -> float:
-    """Constrained hypervolume expected improvement at a single point."""
-    return float(
-        expected_improvement_batch(
-            np.asarray(candidate, dtype=float).reshape(1, -1),
-            models, constraints, current, objectives, planned_n, space,
-        )[0]
-    )
-
-
 @dataclass(frozen=True)
 class PsoConfig:
     """Global-best particle swarm settings (constriction-style defaults)."""

@@ -46,6 +46,7 @@ from .domain import (
     cross_problems,
     not_a_string,
     pool_by_design,
+    repeated,
 )
 from .engine import BudgetConfig, CheckpointError, RunAborted, RunState
 from .gp import gp_predict_many
@@ -148,13 +149,13 @@ def normalize_config(raw: Mapping) -> dict:
     raw_hyps = raw.get("hypotheses")
     hyps: list[Hypothesis] = []
     # every name a hypothesis entry gives, well-formed or not
-    hyp_names: dict[str, None] = {}
+    hyp_names: list[str] = []
     if not isinstance(raw_hyps, list) or not raw_hyps:
         problems.append("'hypotheses' must be a non-empty list")
     else:
         for i, h in enumerate(raw_hyps):
             if isinstance(h, dict) and isinstance(h.get("name"), str):
-                hyp_names[h["name"]] = None
+                hyp_names.append(h["name"])
             if not isinstance(h, dict) or "name" not in h or "params" not in h:
                 problems.append(f"hypotheses[{i}] needs name and params")
                 continue
@@ -171,6 +172,8 @@ def normalize_config(raw: Mapping) -> dict:
                                     f"parameter(s): {', '.join(missing)}")
                 problems.extend(f"hypotheses[{i}]: {problem}" for problem
                                 in scenario.hypothesis_problems(hyp.params))
+    # a problem keys its hypotheses by name, where a second entry would replace the first
+    problems.extend(f"duplicate hypothesis name {name!r}" for name in repeated(hyp_names))
     cfg["hypotheses"] = [asdict(h) for h in hyps]
 
     raw_cons = raw.get("constraints")
@@ -220,7 +223,7 @@ def normalize_config(raw: Mapping) -> dict:
             problems, "reference_point",
             lambda: [_finite(v, "reference_point") for v in ref])
 
-    problems.extend(cross_problems(cons, hyp_names, objectives,
+    problems.extend(cross_problems(cons, dict.fromkeys(hyp_names), objectives,
                                    cfg["reference_point"] or None))
     if scenario is not None and whole is not None:
         problems.extend(scenario.space_problems(whole))
@@ -273,8 +276,8 @@ def _require_preparable(problem: Problem, sim: TrialSimulator, count: int) -> No
     space = problem.space
     # the box's 2**D corners: bit d of row i picks dimension d's bound
     bits = (np.arange(1 << space.ndim)[:, None] >> np.arange(space.ndim)) & 1
-    points = [DesignPoint(tuple(space.snap(corner)))
-              for corner in np.where(bits == 1, space.upper, space.lower)]
+    corners = space.snap(np.where(bits == 1, space.upper, space.lower))
+    points = list(map(DesignPoint, corners.tolist()))
     points += engine.initial_design(problem, count)
     first: dict[tuple[str, str], DesignPoint] = {}
     for hypothesis in problem.hypotheses.values():

@@ -42,7 +42,7 @@ def _refuse(problems: Sequence[str]) -> None:
         raise ValueError("; ".join(problems))
 
 
-def _repeated(names: Iterable[str]) -> list[str]:
+def repeated(names: Iterable[str]) -> list[str]:
     """Each name that occurs more than once, once."""
     return [name for name, count in Counter(names).items() if count > 1]
 
@@ -81,7 +81,7 @@ class DesignSpace:
         object.__setattr__(self, "dims", tuple(self.dims))
         problems = [] if self.dims else ["design space has no dimensions"]
         problems += [f"duplicate dimension name {name!r}"
-                     for name in _repeated(self.names)]
+                     for name in repeated(self.names)]
         _refuse(problems)
 
     @property
@@ -124,15 +124,16 @@ class DesignSpace:
         u = np.asarray(unit, dtype=float)
         return self.lower + u * self.span
 
-    def snap(self, coords: Sequence[float]) -> np.ndarray:
-        """Clip to bounds and round integer dimensions (half away from zero
-        is irrelevant here: bounds are finite, so half-up is used)."""
+    def snap(self, coords: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Clip to bounds and round integer dimensions half up, for one design
+        (D,) or rows (m, D); the result has the input's shape, and each row
+        is snapped on its own, as a one-row call snaps it."""
         x = np.clip(np.asarray(coords, dtype=float), self.lower, self.upper)
         mask = self.integer_mask
         if mask.any():
             lo = np.ceil(self.lower[mask])
             hi = np.floor(self.upper[mask])
-            x[mask] = np.clip(np.floor(x[mask] + 0.5), lo, hi)
+            x[..., mask] = np.clip(np.floor(x[..., mask] + 0.5), lo, hi)
         return x
 
 
@@ -203,11 +204,12 @@ class Constraint:
 class ObjectiveSpec:
     """Deterministic objectives, all minimized, evaluated many designs at once.
 
-    ``evaluate`` maps an (m, D) array of raw design coordinates to an (m, B)
-    array, one row of B objective values per design; row i must depend on
-    row i of the input alone, so a batch gives the values one-row calls
-    would. Calling the spec accepts one design (D,) and returns (B,), or
-    (m, D) and returns (m, B); any other result shape raises ValueError.
+    Calling the spec takes an (m, D) array of raw design coordinates and
+    returns an (m, B) array, one row of B objective values per design; one
+    design is a one-row array. ``evaluate`` does the work, and row i of its
+    result must depend on row i of the input alone, so a batch gives the
+    values one-row calls would. Any other input or result shape raises
+    ValueError, and zero rows return (0, B) without calling ``evaluate``.
     The labels must be distinct strings, at least one.
     """
 
@@ -221,39 +223,36 @@ class ObjectiveSpec:
                      for problem in not_a_string("objective label", label)]
         if not problems:
             problems += [f"duplicate objective label {label!r}"
-                         for label in _repeated(self.labels)]
+                         for label in repeated(self.labels)]
         _refuse(problems)
 
     @property
     def n_objectives(self) -> int:
         return len(self.labels)
 
-    def __call__(self, coords: Sequence[float] | np.ndarray) -> np.ndarray:
-        x = np.asarray(coords, dtype=float)
-        if x.ndim not in (1, 2):
-            raise ValueError(f"objectives take one design (D,) or rows (m, D), "
-                             f"got shape {x.shape}")
-        rows = x.reshape(-1, x.shape[-1])
-        want = (len(rows), self.n_objectives)
-        if not len(rows):
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        x = np.asarray(rows, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"objectives take rows (m, D), got shape {x.shape}")
+        want = (len(x), self.n_objectives)
+        if not len(x):
             return np.empty(want)
-        out = np.asarray(self.evaluate(rows), dtype=float)
+        out = np.asarray(self.evaluate(x), dtype=float)
         if out.shape != want:
             raise ValueError(f"objective evaluator returned shape {out.shape} "
-                             f"for {len(rows)} row(s); expected {want}")
-        return out[0] if x.ndim == 1 else out
+                             f"for {len(x)} row(s); expected {want}")
+        return out
 
 
-def clamped_rate(estimate: float, n_samples: int) -> float:
-    """Clamp a rate estimate away from {0, 1} so its variance is never zero."""
-    lo = 1.0 / (2.0 * n_samples)
-    return min(max(estimate, lo), 1.0 - lo)
-
-
-def mc_variance_of(successes: int, n_samples: int) -> float:
-    """Monte Carlo variance of a rate estimate, computed on the clamped rate."""
-    y = clamped_rate(successes / n_samples, n_samples)
-    return y * (1.0 - y) / n_samples
+def mc_variance_of(successes, n_samples):
+    """Monte Carlo variance y (1 - y) / n of a rate estimate, on the rate
+    y = successes / n clamped to [1 / (2n), 1 - 1 / (2n)], so that it is
+    never zero. Accepts scalars, giving a float, or arrays."""
+    n = np.asarray(n_samples)
+    low = 1.0 / (2.0 * n)
+    y = np.minimum(np.maximum(successes / n, low), 1.0 - low)
+    out = y * (1.0 - y) / n
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -295,11 +294,6 @@ def pool_by_design(
     return pool
 
 
-def constraint_value(estimate: float, constraint: Constraint) -> float:
-    """Constraint function value g = estimate - nominal; <= 0 means within bound."""
-    return estimate - constraint.nominal
-
-
 def cross_problems(
     constraints: Sequence[Constraint],
     hypotheses: Mapping[str, Hypothesis | None],
@@ -316,7 +310,7 @@ def cross_problems(
     that entry's fault is reported once.
     """
     problems = [f"duplicate label {label!r}"
-                for label in _repeated(c.label for c in constraints)]
+                for label in repeated(c.label for c in constraints)]
     problems += [f"constraint {con.label!r} references unknown hypothesis "
                  f"{con.hypothesis!r}" for con in constraints
                  if con.hypothesis not in hypotheses]

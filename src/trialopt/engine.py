@@ -24,7 +24,6 @@ from .domain import (
     Constraint,
     DesignPoint,
     EvaluationRecord,
-    Hypothesis,
     Problem,
     mc_variance_of,
     pool_by_design,
@@ -118,19 +117,19 @@ class RunState:
     approx_set: ApproximationSet | None = None
     trajectory: list[float] = field(default_factory=list)
     iteration: int = 0
-    eval_counter: int = 0
-    total_samples: int = 0
     fit_fallbacks: int = 0
+
+    @property
+    def total_samples(self) -> int:
+        """Simulator samples spent so far, over every record."""
+        return sum(r.n_samples for r in self.records)
 
 
 def initial_design(problem: Problem, count: int) -> list[DesignPoint]:
     """Sobol points mapped to the design space, integer dims snapped."""
-    unit = sobol_points(problem.space.ndim, count)
-    points = []
-    for u in unit:
-        coords = problem.space.snap(problem.space.denormalize(u))
-        points.append(DesignPoint(tuple(coords)))
-    return points
+    space = problem.space
+    coords = space.snap(space.denormalize(sobol_points(space.ndim, count)))
+    return list(map(DesignPoint, coords.tolist()))
 
 
 def _evaluate(
@@ -141,7 +140,8 @@ def _evaluate(
     iteration: int,
     callback: RecordCallback | None,
 ) -> EvaluationRecord:
-    eval_seed = derive_replicate_seed(state.master_seed, state.eval_counter, 0)
+    # the evaluation index is the number of records made before it
+    eval_seed = derive_replicate_seed(state.master_seed, len(state.records), 0)
     est = mc_estimate(
         sim, point, state.problem.hypotheses[hyp_name],
         state.budget.n_per_eval, seed=eval_seed,
@@ -151,8 +151,6 @@ def _evaluate(
         successes=est.successes, seed=eval_seed, iteration=iteration,
     )
     state.records.append(record)
-    state.eval_counter += 1
-    state.total_samples += est.n_samples
     if callback is not None:
         callback(record)
     return record
@@ -163,10 +161,10 @@ def _constraint_data(state: RunState, constraint: Constraint):
     Monte Carlo noise variances."""
     rows = [r for r in state.records if r.hypothesis == constraint.hypothesis]
     coords = np.array([r.point.coords for r in rows], dtype=float)
+    s = np.array([r.successes for r in rows])
+    n = np.array([r.n_samples for r in rows])
     inputs = state.problem.space.normalize(coords)
-    targets = np.array([r.estimate - constraint.nominal for r in rows])
-    noise = np.array([r.mc_variance for r in rows])
-    return inputs, targets, noise
+    return inputs, s / n - constraint.nominal, mc_variance_of(s, n)
 
 
 def _update_models(state: RunState, refit: bool) -> None:
@@ -207,16 +205,17 @@ def recompute_feasible_set(state: RunState) -> ApproximationSet:
     for con in problem.constraints:
         mean, var = gp_predict_many(state.models[con.label], unit)
         feasible &= feasibility_quantile(mean, var, con.confidence) <= 0.0
+    return _feasible_front(problem, points, feasible)
+
+
+def _feasible_front(problem: Problem, points: Sequence[DesignPoint],
+                    feasible: np.ndarray) -> ApproximationSet:
+    """The nondominated feasible points, their objectives in one call."""
     kept = [p for p, ok in zip(points, feasible) if ok]
-    return ApproximationSet(tuple(pareto_filter(_with_objectives(problem, kept))),
+    coords = np.array([p.coords for p in kept], dtype=float)
+    values = problem.objectives(coords.reshape(len(kept), problem.space.ndim))
+    return ApproximationSet(tuple(pareto_filter(list(zip(kept, values.tolist())))),
                             problem.reference_point)
-
-
-def _with_objectives(problem: Problem, points: Sequence[DesignPoint]):
-    """(point, objective values) pairs, the objectives in one call."""
-    coords = np.array([p.coords for p in points], dtype=float)
-    values = problem.objectives(coords.reshape(len(points), problem.space.ndim))
-    return list(zip(points, values.tolist()))
 
 
 def _diagnose(state: RunState, fresh: Mapping[str, EvaluationRecord],
@@ -339,8 +338,6 @@ def resume_run(
         records=list(data.records),
         params=dict(data.params),
         iteration=data.iteration,
-        eval_counter=data.eval_counter,
-        total_samples=data.total_samples,
         trajectory=list(data.trajectory),
     )
     try:
@@ -375,15 +372,14 @@ def fixed_design_search(
         for name in problem.constrained_hypotheses:
             _evaluate(state, sim, point, name, 0, record_callback)
 
-    survivors = [
-        point for point, counts in pool_by_design(state.records).items()
-        if all(feasibility_quantile(s / n, mc_variance_of(s, n), confidence)
-               < con.nominal
-               for con in problem.constraints for s, n in [counts[con.hypothesis]])
-    ]
-    aset = ApproximationSet(tuple(pareto_filter(_with_objectives(problem, survivors))),
-                            problem.reference_point)
-    return aset, state.records
+    pool = pool_by_design(state.records)
+    points = list(pool)
+    feasible = np.ones(len(points), dtype=bool)
+    for con in problem.constraints:
+        s, n = np.array([pool[p][con.hypothesis] for p in points]).T
+        bound = feasibility_quantile(s / n, mc_variance_of(s, n), confidence)
+        feasible &= bound < con.nominal
+    return _feasible_front(problem, points, feasible), state.records
 
 
 def verify_seed(master_seed: int, index: int) -> int:
@@ -401,8 +397,6 @@ class CheckpointData:
 
     master_seed: int
     iteration: int
-    eval_counter: int
-    total_samples: int
     records: tuple[EvaluationRecord, ...]
     params: Mapping[str, KernelParams]
     trajectory: tuple[float, ...]
@@ -419,7 +413,7 @@ def save_checkpoint(state: RunState, path: str | Path,
         "version": CHECKPOINT_VERSION,
         "master_seed": state.master_seed,
         "iteration": state.iteration,
-        "eval_counter": state.eval_counter,
+        "eval_counter": len(state.records),
         "total_samples": state.total_samples,
         "config_hash": config_hash,
         "trajectory": list(state.trajectory),
@@ -482,11 +476,15 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
             label: KernelParams(p["sigma"], tuple(p["lengthscales"]))
             for label, p in doc["gp_params"].items()
         }
+        # the counters are derived from the records, and written for readers
+        if (doc["eval_counter"], doc["total_samples"]) != (
+                len(records), sum(r.n_samples for r in records)):
+            raise ValueError(f"eval_counter {doc['eval_counter']} and total_samples "
+                             f"{doc['total_samples']} disagree with the "
+                             f"{len(records)} records")
         return CheckpointData(
             master_seed=doc["master_seed"],
             iteration=doc["iteration"],
-            eval_counter=doc["eval_counter"],
-            total_samples=doc["total_samples"],
             records=records,
             params=params,
             trajectory=tuple(doc["trajectory"]),

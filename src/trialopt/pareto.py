@@ -215,26 +215,23 @@ def hypervolume(aset: ApproximationSet) -> float:
     return aset._volume
 
 
-def hypervolume_improvement(aset: ApproximationSet, candidate: Sequence[float]) -> float:
-    """Volume gained by adding ``candidate`` (0 if dominated or outside the box)."""
-    return HviCalculator(aset)(np.asarray(candidate, dtype=float))
-
-
 class HviCalculator:
     """Hypervolume improvements over a fixed set, on the set's cached front
-    and volume. One objective row gives a float; an (m, B) array gives m
-    values, each bit-identical to the one-row result."""
+    and volume: calling it with an (m, B) array of candidate objective rows
+    returns the (m,) volumes each would add alone, 0 for a candidate that a
+    member dominates or equals or that is not strictly inside the reference
+    box. Each value is bit-identical to that of a one-row call."""
 
     def __init__(self, aset: ApproximationSet):
         self.aset = aset
         self.ref, self._front = aset._front
         self.n_obj = self.ref.size
 
-    def __call__(self, candidates) -> float | np.ndarray:
-        cand = np.asarray(candidates, dtype=float)
-        if cand.shape[-1:] != (self.n_obj,):
-            raise ValueError(f"candidates need {self.n_obj} objective values per row")
-        C = cand.reshape(-1, self.n_obj)
+    def __call__(self, candidates: np.ndarray) -> np.ndarray:
+        C = np.asarray(candidates, dtype=float)
+        if C.ndim != 2 or C.shape[1] != self.n_obj:
+            raise ValueError(f"candidates must be rows (m, {self.n_obj}), "
+                             f"got shape {C.shape}")
         front, ref = self._front, self.ref
         # zero on or outside the box (NaN too) or where a member dominates or equals it
         covered = (self.aset._columns <= C.T[:, None, :]).all(axis=0).any(axis=0)
@@ -245,5 +242,4 @@ class HviCalculator:
             # zeroed rows become +inf, never merged
             rows = np.where(zero[:, None], np.inf, C)
             gain = _volume_with(self.aset, rows) - self.aset._volume
-        out = np.where(zero | ~(gain > 0.0), 0.0, gain)
-        return float(out[0]) if cand.ndim == 1 else out
+        return np.where(zero | ~(gain > 0.0), 0.0, gain)

@@ -2,7 +2,13 @@
 
 Generates points in Gray-code order with the all-zeros leading term skipped,
 using the Joe-Kuo primitive polynomials and initial direction numbers for the
-first dimensions. Coordinates are dyadic rationals strictly inside [0, 1).
+first dimensions (Joe & Kuo 2008, "Constructing Sobol sequences with better
+two-dimensional projections"). Coordinates are dyadic rationals strictly
+inside [0, 1).
+
+The whole block is built at once: point i is the running XOR of the
+direction numbers its Gray-code steps pick, one ``np.bitwise_xor.accumulate``
+over the (count, d) array of those numbers, so no Python loop runs per point.
 """
 
 from __future__ import annotations
@@ -91,18 +97,11 @@ def _sobol_raw(d: int, count: int) -> np.ndarray:
         )
     if count >= 1 << _N_BITS:
         raise ValueError("count exceeds sequence period")
-    directions = [_direction_numbers(j) for j in range(d)]
-    scale = float(1 << _N_BITS)
-    points = np.empty((count, d), dtype=float)
-    state = [0] * d
-    for i in range(1, count + 1):
-        # index of the rightmost zero bit of i-1
-        c = 0
-        value = i - 1
-        while value & 1:
-            value >>= 1
-            c += 1
-        for j in range(d):
-            state[j] ^= directions[j][c]
-            points[i - 1, j] = state[j] / scale
-    return points
+    # (n_bits, d): row k holds direction number k of every dimension
+    directions = np.array([_direction_numbers(j) for j in range(d)], dtype=np.int64).T
+    # point i (from 1) takes direction number ctz(i), the index of the
+    # rightmost zero bit of i - 1; i & -i is the power of two 2**ctz(i)
+    index = np.arange(1, count + 1)
+    ctz = np.frexp(index & -index)[1] - 1
+    state = np.bitwise_xor.accumulate(directions[ctz], axis=0)
+    return state / float(1 << _N_BITS)

@@ -8,7 +8,6 @@ from scipy.stats import norm
 
 from trialopt.acquisition import (
     PsoConfig,
-    expected_improvement,
     expected_improvement_batch,
     feasibility_quantile,
     prob_feasible_after,
@@ -23,7 +22,7 @@ from trialopt.domain import (
     ObjectiveSpec,
 )
 from trialopt.gp import KernelParams, build_model, gp_predict
-from trialopt.pareto import ApproximationSet, hypervolume_improvement, nondominated_mask
+from trialopt.pareto import ApproximationSet, HviCalculator, nondominated_mask
 
 
 def test_feasibility_quantile_examples():
@@ -103,8 +102,9 @@ def test_expected_improvement_zero_when_dominated():
     current = ApproximationSet(
         ((DesignPoint((0.1,)), (0.1,)),), (1.0,)
     )
-    ei = expected_improvement([0.5], models, [con], current, objectives, 100, space)
-    assert ei == 0.0
+    ei = expected_improvement_batch(np.array([[0.5]]), models, [con], current,
+                                    objectives, 100, space)
+    assert ei.tolist() == [0.0]
 
 
 def test_expected_improvement_composes_verified_factors():
@@ -124,7 +124,8 @@ def test_expected_improvement_composes_verified_factors():
 
     objectives = ObjectiveSpec(("f1", "f2"), lambda X: np.tile([982.0, 10.0], (len(X), 1)))
     current = ApproximationSet((), (1200.0, 30.0))
-    ei = expected_improvement([0.5], models, [con], current, objectives, 100, space)
+    [ei] = expected_improvement_batch(np.array([[0.5]]), models, [con], current,
+                                      objectives, 100, space)
     assert ei == pytest.approx(4360.0 * 0.5, rel=2e-2)
 
 
@@ -133,8 +134,9 @@ def test_expected_improvement_vanishes_at_deep_infeasibility():
                                                   confidence=0.9)
     objectives = ObjectiveSpec(("f",), lambda X: X[:, :1])
     current = ApproximationSet((), (1.0,))
-    ei = expected_improvement([0.5], models, [con], current, objectives, 100, space)
-    improvement = hypervolume_improvement(current, [0.5])
+    [ei] = expected_improvement_batch(np.array([[0.5]]), models, [con], current,
+                                      objectives, 100, space)
+    [improvement] = HviCalculator(current)(np.array([[0.5]]))
     assert ei < 1e-14 * improvement
 
 
@@ -145,8 +147,9 @@ def test_expected_improvement_nonnegative_everywhere():
     current = ApproximationSet(((DesignPoint((0.6,)), (0.6,)),), (1.0,))
     for _ in range(50):
         x = rng.random()
-        assert expected_improvement([x], models, [con], current, objectives,
-                                    100, space) >= 0.0
+        [ei] = expected_improvement_batch(np.array([[x]]), models, [con], current,
+                                          objectives, 100, space)
+        assert ei >= 0.0
 
 
 def test_expected_improvement_monotone_in_planned_samples_when_promising():

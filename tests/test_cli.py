@@ -182,6 +182,10 @@ CLUSTER_CONFIG = Path(__file__).resolve().parents[1] / "tools" / "configs" / "cl
     (lambda c: c["design_space"][1].update(low=1, up=2),
      "design_space: hypothesis 'alt' cannot be simulated at {'n': 100.0, 'k': 1.0}: "
      "need at least 2 therapist clusters"),
+    # the second 'alt' would replace the first, and type II be judged under it
+    (lambda c: c["hypotheses"].append(
+        {**c["hypotheses"][0], "params": {**c["hypotheses"][0]["params"], "beta1": 0.0}}),
+     "duplicate hypothesis name 'alt'"),
 ])
 def test_cluster_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, edit,
                                                                message):

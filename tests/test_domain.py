@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trialopt.acquisition import feasibility_quantile
 from trialopt.domain import (
+    INTEGER,
     Constraint,
     DesignPoint,
     DesignSpace,
@@ -15,7 +18,6 @@ from trialopt.domain import (
     Hypothesis,
     ObjectiveSpec,
     Problem,
-    constraint_value,
     cross_problems,
     mc_variance_of,
     pool_by_design,
@@ -110,19 +112,6 @@ def test_a_hypothesis_known_by_name_alone_may_be_referenced():
     assert cross_problems([Constraint("g", "alt", 0.1)], {"alt": None}) == []
 
 
-def test_constraint_value_examples():
-    con = Constraint("g", "alt", nominal=0.10)
-    assert constraint_value(0.11, con) == pytest.approx(0.01)
-    assert constraint_value(0.10, con) == 0.0
-    assert constraint_value(0.093, con) == pytest.approx(-0.007)
-
-
-def test_constraint_value_monotone_in_estimate():
-    con = Constraint("g", "alt", nominal=0.3)
-    values = [constraint_value(e, con) for e in np.linspace(0, 1, 50)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
 def test_mc_variance_bernoulli_bound():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -130,6 +119,24 @@ def test_mc_variance_bernoulli_bound():
         s = int(rng.integers(0, n + 1))
         v = mc_variance_of(s, n)
         assert 0.0 < v <= 0.25 / n + 1e-15
+
+
+@given(st.lists(st.integers(1, 10**6).flatmap(lambda n: st.tuples(
+    st.integers(0, n), st.just(n),
+    st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))), min_size=1, max_size=40))
+def test_array_variance_and_quantile_equal_the_scalar_forms_bitwise(triples):
+    s, n, p = (np.array(column) for column in zip(*triples))
+    variance = mc_variance_of(s, n)
+    quantile = feasibility_quantile(s / n, variance, p)
+    for (si, ni, pi), v, q in zip(triples, variance, quantile):
+        # the clamped-rate variance in plain Python floats
+        low = 1.0 / (2.0 * ni)
+        y = min(max(si / ni, low), 1.0 - low)
+        want = y * (1.0 - y) / ni
+        scalar = mc_variance_of(si, ni)
+        assert type(scalar) is float and scalar == want
+        assert np.float64(want).tobytes() == v.tobytes()
+        assert np.float64(feasibility_quantile(si / ni, want, pi)).tobytes() == q.tobytes()
 
 
 def test_record_variance_uses_clamped_rate():
@@ -152,6 +159,46 @@ def test_snap_rounds_integer_dims_and_clips():
     snapped = space.snap([137.6, 31.2])
     assert snapped.tolist() == [138.0, 30.0]
     assert space.contains(snapped)
+
+
+def mixed_space():
+    return DesignSpace((
+        Dimension("a", 1, 50, "integer"),
+        Dimension("b", 0.5, 2.0),
+        Dimension("c", -3.5, 7.5, "integer"),
+        Dimension("d", 0.0, 1.0),
+        Dimension("e", 2.2, 9.9, "integer"),
+    ))
+
+
+def loop_snap(space, x):
+    """One design snapped one value at a time: clipped to the box, and an
+    integer dimension rounded half up within its integer bounds."""
+    out = []
+    for dim, v in zip(space.dims, x):
+        v = min(max(v, dim.lower), dim.upper)
+        if dim.kind == INTEGER:
+            v = min(max(math.floor(v + 0.5), math.ceil(dim.lower)), math.floor(dim.upper))
+        out.append(float(v))
+    return out
+
+
+# half-integers, where rounding half up decides, values far outside every
+# box, and reals
+snap_values = st.one_of(st.integers(-120, 240).map(lambda v: v / 2),
+                        st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@given(st.lists(st.tuples(*[snap_values] * 5), min_size=1, max_size=40))
+def test_batch_snap_equals_one_row_snaps_bitwise(rows):
+    space = mixed_space()
+    X = np.array(rows, dtype=float)
+    batch = space.snap(X)
+    assert batch.shape == X.shape
+    for x, got in zip(X, batch):
+        assert got.tobytes() == space.snap(x).tobytes()
+        assert got.tolist() == loop_snap(space, x.tolist())
+        assert space.contains(got)
 
 
 def test_normalize_denormalize_roundtrip():

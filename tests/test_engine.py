@@ -1,4 +1,5 @@
 import csv
+import json
 import logging
 import math
 import os
@@ -308,6 +309,23 @@ def test_load_checkpoint_errors(tmp_path):
     old.write_text('{"format": "trialopt-checkpoint", "version": 99}')
     with pytest.raises(CheckpointError):
         load_checkpoint(old)
+
+
+@pytest.mark.parametrize("key", ["eval_counter", "total_samples"])
+def test_load_checkpoint_refuses_counters_that_disagree_with_the_records(tmp_path, key):
+    problem, sim = analytic_problem()
+    state = run(problem, sim, BudgetConfig(iterations=0, n_per_eval=30, initial_points=6),
+                pso=FAST_PSO, seed=8)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(state, path)
+    doc = json.loads(path.read_text())
+    # the counters the checkpoint writes are those of its records
+    assert (doc["eval_counter"], doc["total_samples"]) == (6, 6 * 30) == (
+        len(state.records), state.total_samples)
+    doc[key] += 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint .*disagree with the 6 records"):
+        load_checkpoint(path)
 
 
 def test_fixed_design_confidence_half_collapses_to_raw_estimate():

@@ -135,9 +135,9 @@ def test_batch_hvi_matches_one_candidate_sweep(case):
     for row, got in zip(cands, batch):
         want = ref_hvi(aset, row)
         assert same_bits(got, want)
-        single = calc(row)
-        assert isinstance(single, float)
-        assert same_bits(single, want)
+        single = calc(row[None])
+        assert single.shape == (1,)
+        assert same_bits(single[0], want)
 
 
 def test_batch_hvi_2d_rounding_fuzz():

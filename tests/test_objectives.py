@@ -70,7 +70,7 @@ def test_formula_batch_rows_equal_one_row_calls(scenario_name, formula, data):
     assert batch.shape == (len(rows), problem.objectives.n_objectives)
     _, fn = SCENARIOS[scenario_name].objective_formulas[formula]
     for x, got in zip(X, batch):
-        assert same_bits(got, problem.objectives(x))
+        assert same_bits(got, problem.objectives(x[None])[0])
         # the formula on one design's plain floats, as configs used to call it
         assert same_bits(got, [float(v) for v in fn(dict(zip(names, map(float, x))))])
 
@@ -90,16 +90,18 @@ def test_coefficient_batch_rows_equal_matrix_vector_products(case):
     batch = objectives(X)
     for x, got in zip(X, batch):
         assert same_bits(got, matrix @ x)
-        assert same_bits(got, objectives(x))
+        assert same_bits(got, objectives(x[None])[0])
 
 
 def test_objectives_shapes_and_wrong_shaped_evaluators():
     spec = ObjectiveSpec(("a", "b"), lambda X: np.column_stack([X[:, 0], 2.0 * X[:, 1]]))
-    assert spec([1.0, 2.0]).tolist() == [1.0, 4.0]
+    assert spec([[1.0, 2.0]]).tolist() == [[1.0, 4.0]]
     assert spec([[1.0, 2.0], [3.0, 4.0]]).tolist() == [[1.0, 4.0], [3.0, 8.0]]
     assert spec(np.empty((0, 2))).shape == (0, 2)
-    with pytest.raises(ValueError):
-        spec(np.ones((2, 2, 2)))
+    # rows only: one design is a one-row array
+    for bad in ([1.0, 2.0], np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError, match="rows"):
+            spec(bad)
     # evaluators written for one design at a time, and other wrong shapes
     stale = ObjectiveSpec(("a", "b"), lambda x: np.array([x[0], x[1]]))
     stale_one = ObjectiveSpec(("a",), lambda x: np.array([x[0]]))

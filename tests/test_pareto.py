@@ -8,7 +8,6 @@ from trialopt.pareto import (
     UnsupportedDimensionError,
     dominates,
     hypervolume,
-    hypervolume_improvement,
     pareto_filter,
 )
 
@@ -20,6 +19,11 @@ def as_set(objs, ref):
 
 PAPER_SET = [(589, 24), (705, 20), (810, 12), (982, 10)]
 PAPER_REF = (1200, 30)
+
+
+def gain_of(aset, candidate):
+    """The improvement of one candidate: a one-row batch."""
+    return HviCalculator(aset)(np.array([candidate], dtype=float))[0]
 
 
 def test_dominance_paper_fixtures():
@@ -85,28 +89,31 @@ def test_hypervolume_dimension_limit():
 
 def test_improvement_of_dominated_candidate_is_zero():
     aset = as_set(PAPER_SET, PAPER_REF)
-    assert hypervolume_improvement(aset, (990, 11)) == 0.0
-    assert hypervolume_improvement(aset, (982, 10)) == 0.0  # exact duplicate
+    assert gain_of(aset, (990, 11)) == 0.0
+    assert gain_of(aset, (982, 10)) == 0.0  # exact duplicate
 
 
 def test_improvement_on_empty_set_is_rectangle():
     aset = as_set([], PAPER_REF)
-    assert hypervolume_improvement(aset, (982, 10)) == 4360.0
+    assert gain_of(aset, (982, 10)) == 4360.0
 
 
 def test_improvement_outside_reference_box_is_zero():
     aset = as_set(PAPER_SET, PAPER_REF)
-    assert hypervolume_improvement(aset, (1250, 5)) == 0.0
-    assert hypervolume_improvement(aset, (500, 30)) == 0.0
+    assert gain_of(aset, (1250, 5)) == 0.0
+    assert gain_of(aset, (500, 30)) == 0.0
 
 
 def test_improvement_of_wrong_length_candidate_raises():
     aset = as_set(PAPER_SET, PAPER_REF)
     for bad in ((990.0,), (500.0, 5.0, 1.0, 1.0), 500.0):
         with pytest.raises(ValueError):
-            hypervolume_improvement(aset, bad)
+            gain_of(aset, bad)
     with pytest.raises(ValueError):
         HviCalculator(aset)(np.ones((4, 3)))
+    # rows only: one candidate is a one-row array
+    with pytest.raises(ValueError, match="rows"):
+        HviCalculator(aset)(np.array([990.0, 11.0]))
 
 
 def test_hypervolume_monotone_under_insertion():
@@ -117,7 +124,7 @@ def test_hypervolume_monotone_under_insertion():
         aset = ApproximationSet(tuple(base), (12.0, 12.0))
         h = hypervolume(aset)
         cand = rng.uniform(0, 10, 2)
-        gain = hypervolume_improvement(aset, cand)
+        gain = gain_of(aset, cand)
         if any(dominates(o, cand) or tuple(cand) == o for _, o in base):
             assert gain == 0.0
         else:
@@ -167,5 +174,4 @@ def test_hvi_calculator_matches_reference():
                 cand = rng.uniform(0, 11, n_obj)
                 merged = pareto_filter(filtered + [(DesignPoint(tuple(cand)), tuple(cand))])
                 gain = hypervolume(ApproximationSet(tuple(merged), ref)) - base
-                assert calc(cand) == pytest.approx(max(0.0, gain), abs=1e-10)
-                assert calc(cand) == hypervolume_improvement(aset, cand)
+                assert calc(cand[None])[0] == pytest.approx(max(0.0, gain), abs=1e-10)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trialopt.sobol import UnsupportedDimensionError, sobol_points
+from trialopt.sobol import UnsupportedDimensionError, _direction_numbers, _sobol_raw, sobol_points
 
 # Joe-Kuo parameters for the first two dimensions, written independently of
 # the implementation: dimension 1 is van der Corput; dimension 2 uses the
@@ -63,6 +63,33 @@ def test_points_inside_unit_box_and_distinct():
     pts = sobol_points(3, 1000)
     assert np.all(pts >= 0.0) and np.all(pts < 1.0)
     assert len({tuple(row) for row in pts}) == 1000
+
+
+def loop_sobol(d, count):
+    """The generator one point and one dimension at a time: point i (from 1)
+    XORs into the state the direction number of the rightmost zero bit of
+    i - 1. This is the loop the block generator replaced."""
+    directions = [_direction_numbers(j) for j in range(d)]
+    points = np.empty((count, d), dtype=float)
+    state = [0] * d
+    for i in range(1, count + 1):
+        c, value = 0, i - 1
+        while value & 1:
+            value >>= 1
+            c += 1
+        for j in range(d):
+            state[j] ^= directions[j][c]
+            points[i - 1, j] = state[j] / float(1 << 30)
+    return points
+
+
+@pytest.mark.parametrize("d", range(1, 22))
+def test_block_generator_equals_the_point_loop_bitwise(d):
+    want = loop_sobol(d, 5000)
+    for count in (1, 2, 3, 7, 20, 100, 1025, 5000):
+        got = _sobol_raw(d, count)
+        assert got.dtype == want.dtype and got.shape == (count, d)
+        assert got.tobytes() == want[:count].tobytes()
 
 
 def test_dimension_limit():

@@ -79,6 +79,9 @@ CASES = {
     # objective coefficients
     "coefficient NaN": _set(("objectives",),
                             {**LINEAR, "coefficients": [[2.0, math.nan], [0.0, 1.0]]}),
+    # two hypotheses with one name: the last would replace the first
+    "second alt with beta1 0.0": lambda cfg: cfg["hypotheses"].append(
+        {**cfg["hypotheses"][0], "params": {**cfg["hypotheses"][0]["params"], "beta1": 0.0}}),
 }
 
 
