@@ -125,6 +125,7 @@ def pso_maximize(
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     lower, upper, span = bounds.lower, bounds.upper, bounds.span
     vmax = _VELOCITY_CLAMP * span
+    vmin = -vmax
     m, d = cfg.swarm_size, bounds.ndim
 
     pos = lower + rng.random((m, d)) * span
@@ -142,8 +143,9 @@ def pso_maximize(
         vel = (cfg.inertia * vel
                + cfg.cognitive * r1 * (pbest - pos)
                + cfg.social * r2 * (gbest - pos))
-        vel = np.clip(vel, -vmax, vmax)
-        pos = np.clip(pos + vel, lower, upper)
+        np.minimum(np.maximum(vel, vmin, out=vel), vmax, out=vel)
+        pos = pos + vel
+        np.minimum(np.maximum(pos, lower, out=pos), upper, out=pos)
         val = np.asarray(f(pos), dtype=float)
         improved = val > pbest_val
         pbest[improved] = pos[improved]

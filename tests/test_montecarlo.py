@@ -4,7 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trialopt.domain import DesignPoint, DesignSpace, Dimension, Hypothesis, mc_variance_of
+from trialopt import montecarlo
 from trialopt.montecarlo import (
+    _BLOCK_DOUBLES,
     _CHUNK,
     Batch,
     McEstimate,
@@ -152,27 +154,67 @@ def pcg64_state(rng):
     return state["state"]["state"], state["state"]["inc"], state["has_uint32"]
 
 
+def state_and_inc(words):
+    """(state, inc) of each row of ``_pcg64_states``' words, low word first."""
+    return [(int(s_hi) << 64 | int(s_lo), int(i_hi) << 64 | int(i_lo))
+            for s_lo, s_hi, i_lo, i_hi in words.tolist()]
+
+
+EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+
 def test_edge_seed_states_equal_default_rng():
-    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
-    got = _pcg64_states(np.array(seeds, dtype=np.uint64))
-    want = [pcg64_state(np.random.default_rng(s))[:2] for s in seeds]
+    got = state_and_inc(_pcg64_states(np.array(EDGE_SEEDS, dtype=np.uint64)))
+    want = [pcg64_state(np.random.default_rng(s))[:2] for s in EDGE_SEEDS]
     assert got == want
 
 
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_array_states_equal_default_rng(seeds):
+    seeds = seeds + EDGE_SEEDS
+    words = _pcg64_states(np.array(seeds, dtype=np.uint64))
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    assert state_and_inc(words) == [pcg64_state(np.random.default_rng(s))[:2] for s in seeds]
+
+
 def test_state_set_for_each_replicate_equals_default_rng():
-    states = []
+    """Every replicate starts from its default_rng state, across chunk
+    boundaries that blocks of 303 rows do not share, although each replicate
+    leaves a uint32 buffered (the last of a chunk too)."""
+    states, left = [], []
 
     def record(point, hyp):
         def fill(rng, row):
             states.append(pcg64_state(rng))
+            rng.integers(0, 2**31 - 1, size=1, dtype=np.int32)
+            left.append(rng.bit_generator.state["has_uint32"])
 
-        return Batch((1,), fill, every_row)
+        return Batch((_BLOCK_DOUBLES // 303,), fill, every_row)
 
-    mc_estimate(record, POINT, HYP, 1000, seed=2**40 + 3, eval_index=17)
+    n = 2 * _CHUNK + 7
+    est = mc_estimate(record, POINT, HYP, n, seed=2**40 + 3, eval_index=17)
+    assert est.successes == n
+    assert left == [1] * n
     assert states == [
         pcg64_state(np.random.default_rng(derive_replicate_seed(2**40 + 3, 17, i)))
-        for i in range(1000)
+        for i in range(n)
     ]
+
+
+def test_a_wrong_word_order_is_refused_before_any_draw(monkeypatch):
+    derived = montecarlo._pcg64_states
+    fills = []
+
+    def lo_hi_swapped(seeds):
+        return np.ascontiguousarray(derived(seeds)[:, [1, 0, 3, 2]])
+
+    def counted(point, hyp):
+        return Batch((1,), lambda rng, row: fills.append(rng.random()), every_row)
+
+    monkeypatch.setattr(montecarlo, "_pcg64_states", lo_hi_swapped)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+        mc_estimate(counted, POINT, HYP, 100, seed=3)
+    assert fills == []
 
 
 @given(master=st.integers(-2**70, 2**70), eval_index=st.integers(0, 2**32 - 1),

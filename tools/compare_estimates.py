@@ -13,7 +13,8 @@ criterion 12's own estimates. Each checkout runs all of them in one fresh
 interpreter that imports ``trialopt`` from its own ``src`` directory.
 
 Prints one line per estimate with both sides' successes, then each side's
-wall time, and exits 1 on any difference (0 when every estimate matches).
+wall time and, per scenario, each side's ``mc_estimate`` microseconds per
+replicate; exits 1 on any difference (0 when every estimate matches).
 Seeds are a comma-separated list of numbers and ranges, e.g. ``5000,0-3``.
 The runs inherit the environment, so set anything that should hold for both
 sides (such as ``OPENBLAS_NUM_THREADS=1``) before calling this.
@@ -35,23 +36,26 @@ POINTS_FILE = Path("tests") / "test_acceptance.py"
 POINTS_NAME = "CROSS_VALIDATION_POINTS"
 
 # run in each checkout's interpreter: estimates the jobs read from stdin and
-# prints their successes and the wall time they took
+# prints their successes, the wall time they took and each mc_estimate call's time
 CHILD = """
 import json, sys, time
 from trialopt.domain import DesignPoint, DesignSpace, Dimension, Hypothesis
 from trialopt.montecarlo import mc_estimate
 from trialopt.simlib import get_scenario
 
-successes = []
+successes, estimate_seconds = [], []
 start = time.perf_counter()
 for job in json.load(sys.stdin):
     x = job["x"]
     space = DesignSpace(tuple(Dimension(name, 0.0, 1e9) for name in x))
     sim = get_scenario(job["scenario"]).simulator(space)
-    est = mc_estimate(sim, DesignPoint(tuple(x.values())), Hypothesis("h", job["hp"]),
-                      job["samples"], seed=job["seed"])
+    point, hyp = DesignPoint(tuple(x.values())), Hypothesis("h", job["hp"])
+    t0 = time.perf_counter()
+    est = mc_estimate(sim, point, hyp, job["samples"], seed=job["seed"])
+    estimate_seconds.append(time.perf_counter() - t0)
     successes.append(est.successes)
-print(json.dumps({"successes": successes, "seconds": time.perf_counter() - start}))
+print(json.dumps({"successes": successes, "seconds": time.perf_counter() - start,
+                  "estimate_seconds": estimate_seconds}))
 """
 
 
@@ -85,6 +89,19 @@ def run_checkout(root: Path, work: list[dict]) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def us_per_replicate(work: list[dict], results: dict) -> dict[str, dict[str, float]]:
+    """Each side's ``mc_estimate`` microseconds per replicate, by scenario."""
+    seconds, replicates = {}, {}
+    for k, job in enumerate(work):
+        name = job["scenario"]
+        replicates[name] = replicates.get(name, 0) + job["samples"]
+        cell = seconds.setdefault(name, dict.fromkeys(results, 0.0))
+        for label, result in results.items():
+            cell[label] += result["estimate_seconds"][k]
+    return {name: {label: 1e6 * s / replicates[name] for label, s in cell.items()}
+            for name, cell in seconds.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_root", type=Path)
@@ -112,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     for label, result in results.items():
         print(f"{label}: {len(work)} estimates of {args.samples} replicates "
               f"in {result['seconds']:.2f} s")
+    print(f"{'us per replicate':15} {'parent':>8} {'change':>8}")
+    for scenario, cells in us_per_replicate(work, results).items():
+        print(f"{scenario:15} {cells['parent']:8.2f} {cells['change']:8.2f}")
     print(f"{differ} of {len(work)} estimates differ" if differ
           else "all estimates identical")
     return 1 if differ else 0
