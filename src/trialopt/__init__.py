@@ -46,10 +46,8 @@ from .gp import (
     GpConditioningError,
     GpModel,
     KernelParams,
-    Prediction,
     build_model,
     fit_hyperparameters,
-    gp_predict,
     kernel,
     log_marginal_likelihood,
 )

@@ -10,7 +10,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .domain import Constraint, DesignSpace, ObjectiveSpec
+from .domain import Constraint, DesignSpace, ObjectiveSpec, _refuse
 from .gp import GpModel, gp_predict_many
 from .pareto import ApproximationSet, HviCalculator
 
@@ -94,14 +94,13 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0.0 < self.inertia < 1.0:
-            raise ValueError("inertia must be in (0, 1)")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ValueError("cognitive and social weights must be positive")
+        _refuse([problem for problem, wrong in (
+            ("swarm_size must be >= 2", self.swarm_size < 2),
+            ("iterations must be >= 1", self.iterations < 1),
+            ("inertia must be in (0, 1)", not 0.0 < self.inertia < 1.0),
+            ("cognitive and social weights must be positive",
+             self.cognitive <= 0 or self.social <= 0),
+        ) if wrong])
 
 
 # velocities are clamped to this fraction of each dimension's range

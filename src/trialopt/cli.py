@@ -6,18 +6,20 @@ A run directory contains: config.normalized (the effective config),
 evals.log (one JSON record per evaluation, in order; ``resume`` writes it
 afresh from the checkpoint's records), pareto.csv, trajectory.csv,
 checkpoint.bin, report.txt and, after ``verify``, pareto_verified.csv.
-While a command works in it the directory also holds .lock; every command
-takes that lock before it writes anything, and a command that finds it held
-exits 2 without changing the directory. ``run``, ``baseline`` and ``resume
---out`` into another directory start only in a directory that holds neither
-checkpoint.bin nor evals.log, so no run's checkpoint is replaced and one log
-never mixes two runs' records.
+While a command works in it the directory also holds .lock, which every
+command locks (``flock``) before it writes anything; one that finds it held
+exits 2 without changing the directory, and the holder's exit, killed or
+not, releases it. ``run``, ``baseline`` and ``resume --out`` into another
+directory start only in a directory that holds neither checkpoint.bin nor
+evals.log, so no run's checkpoint is replaced and one log never mixes two
+runs' records.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import hashlib
 import json
 import logging
@@ -78,6 +80,14 @@ class ConfigError(Exception):
 # config handling
 # ---------------------------------------------------------------------------
 
+def _unknown_keys(where: str, entry, known: Sequence[str]) -> list[str]:
+    """A problem per key of ``entry`` (if an object) outside ``known``: a
+    misspelt key would otherwise be dropped, and its default used unseen."""
+    keys = entry if isinstance(entry, Mapping) else ()
+    return [f"{where}: unknown key {key!r} (known: {', '.join(known)})"
+            for key in keys if key not in known]
+
+
 def _attempt(problems: list[str], where: str, build):
     """``build()``, or None with a problem recorded when a value is malformed
     or out of range."""
@@ -109,7 +119,9 @@ def normalize_config(raw: Mapping) -> dict:
     parsed. An entry that failed its own checks is not judged again through
     another, so a constraint on a malformed hypothesis is not also reported
     as unknown. A config that normalizes builds with ``build_problem``."""
-    problems: list[str] = []
+    problems = _unknown_keys("top level", raw, (
+        "scenario", "design_space", "hypotheses", "constraints", "objectives",
+        "reference_point", "budget", "pso", "seed"))
     cfg: dict = {}
 
     scenario_name = raw.get("scenario")
@@ -130,6 +142,8 @@ def normalize_config(raw: Mapping) -> dict:
         problems.append("'design_space' must be a list")
     else:
         for i, d in enumerate(raw_dims):
+            problems.extend(_unknown_keys(f"design_space[{i}]", d, (
+                "name", "low", "up", "kind")))
             if not isinstance(d, dict) or not {"name", "low", "up"} <= set(d):
                 problems.append(f"design_space[{i}] needs name/low/up")
                 continue
@@ -154,6 +168,8 @@ def normalize_config(raw: Mapping) -> dict:
         problems.append("'hypotheses' must be a non-empty list")
     else:
         for i, h in enumerate(raw_hyps):
+            problems.extend(_unknown_keys(f"hypotheses[{i}]", h, (
+                "name", "params", "event")))
             if isinstance(h, dict) and isinstance(h.get("name"), str):
                 hyp_names.append(h["name"])
             if not isinstance(h, dict) or "name" not in h or "params" not in h:
@@ -182,6 +198,8 @@ def normalize_config(raw: Mapping) -> dict:
         problems.append("'constraints' must be a non-empty list")
     else:
         for i, c in enumerate(raw_cons):
+            problems.extend(_unknown_keys(f"constraints[{i}]", c, (
+                "label", "hypothesis", "nominal", "confidence")))
             if not isinstance(c, dict) or not {"label", "hypothesis", "nominal"} <= set(c):
                 problems.append(f"constraints[{i}] needs label/hypothesis/nominal")
                 continue
@@ -197,6 +215,7 @@ def normalize_config(raw: Mapping) -> dict:
     if not isinstance(obj, dict):
         problems.append("'objectives' must be an object")
     elif "formula" in obj:
+        problems.extend(_unknown_keys("objectives", obj, ("formula",)))
         wrong = not_a_string("formula", obj["formula"])
         problems.extend(f"objectives: {problem}" for problem in wrong)
         if scenario is not None and not wrong:
@@ -207,6 +226,7 @@ def normalize_config(raw: Mapping) -> dict:
                 problems.append(f"objective formula {obj['formula']!r} unknown to "
                                 f"scenario {scenario.name!r} (known: {known})")
     elif "coefficients" in obj and "labels" in obj:
+        problems.extend(_unknown_keys("objectives", obj, ("labels", "coefficients")))
         entry = _attempt(problems, "objectives", lambda: _linear_objectives(obj, whole))
     else:
         problems.append("'objectives' needs either a formula or labels+coefficients")
@@ -234,6 +254,7 @@ def normalize_config(raw: Mapping) -> dict:
         given = _attempt(problems, key, lambda: dict(raw.get(key, {}) or {}))
         if given is not None:
             cfg[key] = {k: given.get(k, v) for k, v in asdict(default).items()}
+            problems.extend(_unknown_keys(key, given, tuple(cfg[key])))
             _attempt(problems, key, lambda: build(cfg))
 
     cfg["seed"] = _attempt(problems, "seed", lambda: _seed(raw.get("seed", 0)))
@@ -381,48 +402,34 @@ def pso_from_config(cfg: Mapping) -> PsoConfig:
 # ---------------------------------------------------------------------------
 
 class RunLock:
-    """One process owns one run directory; a lock file prevents concurrent writers."""
+    """One process owns one run directory: an exclusive ``flock`` on .lock,
+    taken without waiting, and refused while another open file holds it.
+
+    The kernel releases the lock when its holder exits, however it exits.
+    Release unlinks .lock before closing it: a process that locked the file
+    in between would hold a removed file while a third locks a new one. And
+    the lock is refused unless the path still names the locked file, which
+    it does not for a process that opened .lock before the holder unlinked it.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / LOCK_NAME
-        self._fd = None
 
     def __enter__(self):
+        self._fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError([self._held_message()]) from None
-        os.write(self._fd, str(os.getpid()).encode())
+            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if not os.path.samestat(os.fstat(self._fd), os.stat(self.path)):
+                raise BlockingIOError
+        except (BlockingIOError, FileNotFoundError):
+            os.close(self._fd)
+            raise ConfigError([f"run directory is locked by another process "
+                               f"({self.path}); wait for it to finish"]) from None
         return self
 
-    def _held_message(self) -> str:
-        """Who holds the lock: the PID it names, and whether that process
-        still runs. The lock is never removed here; a PID may be reused."""
-        unknown = (f"run directory is locked by another process ({self.path}); "
-                   "remove the lock file if that process is gone")
-        try:
-            pid = int(self.path.read_text().strip())
-        except (OSError, ValueError):
-            return unknown
-        if pid <= 0:  # 0 and negative numbers name process groups
-            return unknown
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return (f"run directory is locked by process {pid}, which is not "
-                    f"running: the lock is stale; remove {self.path} to continue")
-        except PermissionError:  # the process exists but belongs to another user
-            pass
-        except OverflowError:
-            return unknown
-        return (f"run directory is locked by running process {pid} ({self.path}); "
-                "wait for it to finish")
-
     def __exit__(self, *exc_info):
-        if self._fd is not None:
-            os.close(self._fd)
-            self.path.unlink(missing_ok=True)
-        return False
+        self.path.unlink(missing_ok=True)  # before close: see the class docstring
+        os.close(self._fd)
 
 
 def record_writer(log_path: Path):
@@ -648,6 +655,8 @@ def _parse_nominals(pairs: Sequence[str]) -> dict[str, float]:
 def cmd_resume(checkpoint: str, iterations: int = 0,
                nominals: Mapping[str, float] | None = None,
                out_dir: str | None = None) -> int:
+    if iterations < 0:
+        raise ConfigError([f"--iterations must be >= 0, got {iterations}"])
     ckpt_path = Path(checkpoint)
     run_dir = ckpt_path.parent
     cfg_path = run_dir / CONFIG_NAME

@@ -24,6 +24,8 @@ EVENT_REJECT = "reject"
 EVENT_ACCEPT = "accept"
 EVENTS = (EVENT_REJECT, EVENT_ACCEPT)
 
+MAX_OBJECTIVES = 3  # the most the exact hypervolume algorithms of ``pareto`` cover
+
 
 def _read_only(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
@@ -300,10 +302,10 @@ def cross_problems(
     objectives: ObjectiveSpec | None = None,
     reference_point: Sequence[float] | None = None,
 ) -> list[str]:
-    """The rules that compare a problem's parts with each other: constraint
-    labels are distinct, each constraint names a known hypothesis, each
-    hypothesis is keyed by its own name, and the reference point has one
-    entry per objective (judged only when both are given).
+    """The rules between a problem's parts: constraint labels are distinct,
+    each constraint names a known hypothesis, each hypothesis is keyed by its
+    own name, there are at most MAX_OBJECTIVES objectives, and the reference
+    point has one entry per objective (judged only when both are given).
 
     A name mapped to None is a hypothesis known by name alone, such as a
     config entry that failed its own checks: a constraint may name it, so
@@ -317,6 +319,9 @@ def cross_problems(
     problems += [f"hypothesis key {name!r} does not match its name {hyp.name!r}"
                  for name, hyp in hypotheses.items()
                  if hyp is not None and hyp.name != name]
+    if objectives is not None and objectives.n_objectives > MAX_OBJECTIVES:
+        problems.append(f"{objectives.n_objectives} objectives given; the hypervolume "
+                        f"covers at most {MAX_OBJECTIVES}")
     if (objectives is not None and reference_point is not None
             and len(reference_point) != objectives.n_objectives):
         problems.append(f"reference point has {len(reference_point)} entries for "

@@ -25,6 +25,7 @@ from .domain import (
     DesignPoint,
     EvaluationRecord,
     Problem,
+    _refuse,
     mc_variance_of,
     pool_by_design,
 )
@@ -89,14 +90,14 @@ class BudgetConfig:
     max_total_samples: int | None = None
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.n_per_eval < 1:
-            raise ValueError("n_per_eval must be >= 1")
-        if self.initial_points is not None and self.initial_points < 2:
-            raise ValueError("initial_points must be >= 2")
-        if self.max_total_samples is not None and self.max_total_samples < 1:
-            raise ValueError("max_total_samples must be >= 1")
+        _refuse([problem for problem, wrong in (
+            ("iterations must be >= 0", self.iterations < 0),
+            ("n_per_eval must be >= 1", self.n_per_eval < 1),
+            ("initial_points must be >= 2",
+             self.initial_points is not None and self.initial_points < 2),
+            ("max_total_samples must be >= 1",
+             self.max_total_samples is not None and self.max_total_samples < 1),
+        ) if wrong])
 
     def resolve_initial_points(self, ndim: int) -> int:
         return self.initial_points if self.initial_points is not None else 10 * ndim

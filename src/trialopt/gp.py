@@ -96,12 +96,6 @@ class KernelParams:
 
 
 @dataclass(frozen=True)
-class Prediction:
-    mean: float
-    variance: float
-
-
-@dataclass(frozen=True)
 class GpModel:
     """A fitted model: training data, hyperparameters and cached factorization.
 
@@ -253,12 +247,6 @@ def gp_predict_many(model: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     v = _trtrs(model.chol, k_star, lower=True)[0] if k_star.size else k_star
     var = prior_var - np.einsum("ij,ij->j", v, v)
     return mean, np.maximum(var, 0.0)
-
-
-def gp_predict(model: GpModel, x: Sequence[float]) -> Prediction:
-    """Posterior at a single point, via the cached factorization."""
-    mean, var = gp_predict_many(model, np.asarray(x, dtype=float).reshape(1, -1))
-    return Prediction(mean=float(mean[0]), variance=float(var[0]))
 
 
 def log_marginal_likelihood(

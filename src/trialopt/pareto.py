@@ -46,9 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import DesignPoint
-
-MAX_OBJECTIVES = 3
+from .domain import MAX_OBJECTIVES, DesignPoint
 
 
 class UnsupportedDimensionError(ValueError):

@@ -21,7 +21,7 @@ from trialopt.domain import (
     Dimension,
     ObjectiveSpec,
 )
-from trialopt.gp import KernelParams, build_model, gp_predict
+from trialopt.gp import KernelParams, build_model, gp_predict_many
 from trialopt.pareto import ApproximationSet, HviCalculator, nondominated_mask
 
 
@@ -115,10 +115,10 @@ def test_expected_improvement_composes_verified_factors():
     # pick the training target so the updated mean lands exactly on zero:
     # with m = 0 the update adds z * sqrt(w2 s2/(w2+s2)) > 0, so shift the
     # target to cancel it.
-    pred = gp_predict(models["g"], [0.5])
-    rate = min(max(pred.mean + con.nominal, 1 / 200), 1 - 1 / 200)
+    (mean,), (var,) = gp_predict_many(models["g"], np.array([[0.5]]))
+    rate = min(max(mean + con.nominal, 1 / 200), 1 - 1 / 200)
     w2 = rate * (1 - rate) / 100
-    shift = norm.ppf(con.confidence) * math.sqrt(w2 * pred.variance / (w2 + pred.variance))
+    shift = norm.ppf(con.confidence) * math.sqrt(w2 * var / (w2 + var))
     space, con, models = _single_constraint_setup(-shift, 0.01, nominal=0.5,
                                                   confidence=0.9)
 

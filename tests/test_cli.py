@@ -1,5 +1,6 @@
 import copy
 import csv
+import fcntl
 import json
 import math
 import os
@@ -13,14 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialopt import engine
+from trialopt import cli, engine
 from trialopt.cli import (
     ConfigError,
+    RunLock,
     budget_from_config,
     canonical_dumps,
     cmd_baseline,
     cmd_run,
     config_hash,
+    load_config,
     main,
     normalize_config,
 )
@@ -226,6 +229,11 @@ def test_non_finite_hypothesis_parameter_exits_2_before_writing(tmp_path, capsys
                 c["budget"].update(n_per_eval=0)),
      ["design parameter 'zz' unknown to scenario 'cluster_rct'",
       "budget: n_per_eval must be >= 1"]),
+    (lambda c: c.update(budget={"iterations": -1, "n_per_eval": 0, "initial_points": 1},
+                        pso={"swarm_size": 1, "inertia": 2.0}),
+     ["budget: iterations must be >= 0; n_per_eval must be >= 1; "
+      "initial_points must be >= 2",
+      "pso: swarm_size must be >= 2; inertia must be in (0, 1)"]),
 ])
 def test_problems_of_different_layers_come_in_one_report(edit, messages):
     bad = json.loads(CLUSTER_CONFIG.read_text())
@@ -350,6 +358,7 @@ def test_malformed_command_line_budget_exits_2_before_writing(tmp_path, capsys):
     ("baseline", "--count", "0"),
     ("baseline", "--confidence", "1.5"),
     ("verify", "--n-verify", "0"),
+    ("resume", "--iterations", "-3"),
 ])
 def test_bad_command_line_value_exits_2_before_writing(tmp_path, capsys, command,
                                                        flag, value):
@@ -358,6 +367,9 @@ def test_bad_command_line_value_exits_2_before_writing(tmp_path, capsys, command
     if command == "verify":
         assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
         argv = ["verify", str(out)]
+    elif command == "resume":
+        assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
+        argv = ["resume", str(out / "checkpoint.bin")]
     else:
         argv = ["baseline", str(cfg), "--out", str(out)]
     before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
@@ -417,6 +429,68 @@ def test_config_normalization_roundtrip():
     cfg = normalize_config(analytic_config())
     again = normalize_config(json.loads(canonical_dumps(cfg)))
     assert cfg == again
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_and_written_configs_normalize_to_themselves(tmp_path, path, command):
+    cfg = normalize_config(load_config(path))
+    assert normalize_config(cfg) == cfg
+    out = tmp_path / "out"
+    extra = ["--iterations", "0"] if command == "run" else ["--count", "3"]
+    assert main([command, str(path), "--out", str(out), "--n-per-eval", "20", *extra]) == 0
+    written = load_config(out / "config.normalized")
+    assert normalize_config(written) == written
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda c: c.update(budgett={"iterations": 50}), "top level: unknown key 'budgett'"),
+    (lambda c: c["design_space"][0].update(kinds="integer"),
+     "design_space[0]: unknown key 'kinds'"),
+    # misspelt, the event would fall back to "reject": a bound on the rejection rate
+    (lambda c: c["hypotheses"][0].update(evnt=c["hypotheses"][0].pop("event")),
+     "hypotheses[0]: unknown key 'evnt'"),
+    (lambda c: c["constraints"][0].update(confidance=0.9),
+     "constraints[0]: unknown key 'confidance'"),
+    (lambda c: c["objectives"].update(labels=["n"]), "objectives: unknown key 'labels'"),
+    (lambda c: c.update(objectives={"labels": ["n"], "coefficients": [[1.0]],
+                                    "weights": [1.0]}),
+     "objectives: unknown key 'weights'"),
+    (lambda c: c["budget"].update(iteration=50), "budget: unknown key 'iteration'"),
+    (lambda c: c["pso"].update(swarm=8), "pso: unknown key 'swarm'"),
+])
+def test_unknown_key_exits_2_before_writing(tmp_path, capsys, edit, problem):
+    bad = analytic_config()
+    edit(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    for command in ("run", "baseline"):
+        out = tmp_path / command
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1 and f"config error: {problem} (known: " in err
+
+
+def test_hypothesis_params_keep_optional_scenario_parameters():
+    cfg = json.loads(CLUSTER_CONFIG.read_text())
+    cfg["hypotheses"][0]["params"]["beta0"] = 0.5
+    assert normalize_config(cfg)["hypotheses"][0]["params"]["beta0"] == 0.5
+
+
+def test_more_objectives_than_the_hypervolume_covers_exit_2_before_writing(tmp_path,
+                                                                         capsys):
+    bad = analytic_config(objectives={"labels": list("abcd"),
+                                      "coefficients": [[1.0], [2.0], [3.0], [4.0]]},
+                          reference_point=[400.0] * 4)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    for command in ("run", "baseline"):
+        out = tmp_path / command
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: 4 objectives given; the hypervolume covers at most 3\n")
 
 
 def test_run_then_resume_matches_straight_run(tmp_path):
@@ -572,33 +646,31 @@ def test_verify_appends_precise_estimates(tmp_path):
         assert abs(est - beta_true) < 3 * se
 
 
+def assert_refused_while_locked(directory, argv, capsys):
+    """``main(argv)`` exits 2 while this process holds ``directory``'s lock
+    through another open file, and leaves the directory byte for byte as it
+    was; the lock file goes with the lock."""
+    directory.mkdir(exist_ok=True)
+    with RunLock(directory):
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        assert main(argv) == 2
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+    assert "run directory is locked by another process" in capsys.readouterr().err
+    assert not (directory / ".lock").exists()
+
+
 def test_lock_prevents_concurrent_runs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    out.mkdir()
-    (out / ".lock").write_text("12345")
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert "locked" in capsys.readouterr().err
+    assert_refused_while_locked(out, ["run", str(cfg), "--out", str(out)], capsys)
+    assert list(out.iterdir()) == []
 
 
-def test_lock_message_tells_a_stale_lock_from_a_live_one(tmp_path, capsys):
+def test_baseline_into_locked_directory_changes_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    out.mkdir()
-    finished = subprocess.Popen([sys.executable, "-c", "pass"])
-    finished.wait()
-    (out / ".lock").write_text(str(finished.pid))
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"locked by process {finished.pid}, which is not running" in err
-    assert "stale" in err
-    (out / ".lock").write_text(str(os.getpid()))
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"locked by running process {os.getpid()}" in err
-    assert "stale" not in err
-    # the lock is reported, never removed
-    assert sorted(p.name for p in out.iterdir()) == [".lock"]
+    assert_refused_while_locked(out, ["baseline", str(cfg), "--out", str(out)], capsys)
+    assert list(out.iterdir()) == []
 
 
 def test_resume_into_locked_directory_changes_nothing(tmp_path, capsys):
@@ -607,24 +679,82 @@ def test_resume_into_locked_directory_changes_nothing(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
     other = tmp_path / "other"
     other.mkdir()
-    (other / ".lock").write_text("12345")
     (other / "evals.log").write_text("SENTINEL\n")
-    assert main(["resume", str(out / "checkpoint.bin"), "--out", str(other)]) == 2
-    assert "locked" in capsys.readouterr().err
-    assert sorted(p.name for p in other.iterdir()) == [".lock", "evals.log"]
+    assert_refused_while_locked(
+        other, ["resume", str(out / "checkpoint.bin"), "--out", str(other)], capsys)
     assert (other / "evals.log").read_text() == "SENTINEL\n"
+
+
+def test_resume_in_locked_directory_changes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
+    assert_refused_while_locked(
+        out, ["resume", str(out / "checkpoint.bin"), "--iterations", "1"], capsys)
 
 
 def test_verify_in_locked_directory_changes_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    (out / ".lock").write_text("12345")
-    assert main(["verify", str(out), "--n-verify", "100"]) == 2
-    assert "locked" in capsys.readouterr().err
-    (out / ".lock").unlink()
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert_refused_while_locked(out, ["verify", str(out), "--n-verify", "100"], capsys)
+
+
+# takes the lock on the directory named by its argument, says so, and waits
+HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from trialopt.cli import RunLock
+with RunLock(Path(sys.argv[1])):
+    print("held", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_a_killed_holder_leaves_no_lock_behind(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
+    src = str(Path(engine.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(out)],
+                          stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": src}) as holder:
+        try:
+            assert holder.stdout.readline() == "held\n"
+            assert main(["verify", str(out), "--n-verify", "100"]) == 2
+            assert "locked by another process" in capsys.readouterr().err
+            holder.kill()
+            # the holder is dead but not reaped, as a killed run whose parent
+            # has not waited for it yet; its .lock is still there
+            os.waitid(os.P_PID, holder.pid, os.WEXITED | os.WNOWAIT)
+            assert (out / ".lock").exists()
+            assert main(["verify", str(out), "--n-verify", "100"]) == 0
+            assert not (out / ".lock").exists()
+            sibling = tmp_path / "sibling"
+            assert main(["run", str(cfg), "--out", str(sibling), "--iterations", "0"]) == 0
+        finally:
+            holder.kill()
+
+
+@pytest.mark.parametrize("replaced", [True, False], ids=["replaced", "removed"])
+def test_lock_on_a_file_the_path_no_longer_names_is_refused(tmp_path, monkeypatch,
+                                                            replaced):
+    """A process that opened .lock just before its holder removed it, and
+    locks it after, holds an orphan: refused as held, whether a third has
+    made a new .lock or not."""
+    real_flock = fcntl.flock
+
+    def flock_after_the_holder_left(fd, operation):
+        (tmp_path / ".lock").unlink()
+        if replaced:
+            (tmp_path / ".lock").write_text("")
+        return real_flock(fd, operation)
+
+    monkeypatch.setattr(cli.fcntl, "flock", flock_after_the_holder_left)
+    with pytest.raises(ConfigError, match="run directory is locked by another process"):
+        with RunLock(tmp_path):
+            pass
+    assert (tmp_path / ".lock").exists() == replaced
 
 
 @pytest.fixture

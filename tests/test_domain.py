@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trialopt import pareto
 from trialopt.acquisition import feasibility_quantile
 from trialopt.domain import (
     INTEGER,
+    MAX_OBJECTIVES,
     Constraint,
     DesignPoint,
     DesignSpace,
@@ -106,6 +108,17 @@ def test_problem_reports_every_cross_problem_at_once():
         "invalid problem: duplicate label 'g'; constraint 'g' references unknown "
         "hypothesis 'null'; hypothesis key 'other' does not match its name 'alt'; "
         "reference point has 1 entries for 2 objectives")
+
+
+def test_problem_refuses_more_objectives_than_the_hypervolume_covers():
+    labels = tuple(f"f{i}" for i in range(MAX_OBJECTIVES + 1))
+    objectives = ObjectiveSpec(labels, lambda X: np.zeros((len(X), len(labels))))
+    with pytest.raises(ValueError) as caught:
+        Problem(two_dim_space(), objectives, (Constraint("g", "alt", 0.1),),
+                {"alt": Hypothesis("alt", {})}, (1.0,) * len(labels))
+    assert str(caught.value) == (
+        "invalid problem: 4 objectives given; the hypervolume covers at most 3")
+    assert pareto.MAX_OBJECTIVES == MAX_OBJECTIVES
 
 
 def test_a_hypothesis_known_by_name_alone_may_be_referenced():

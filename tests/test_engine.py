@@ -270,11 +270,11 @@ def test_resume_with_relaxed_nominal_grows_feasible_set(tmp_path):
     feasible_after = set()
     for rec in resumed.records:
         coords = rec.point.coords
-        from trialopt.gp import gp_predict
+        from trialopt.gp import gp_predict_many
         from scipy.stats import norm as _norm
-        pred = gp_predict(resumed.models["typeII"],
-                          problem.space.normalize(np.array(coords)))
-        q = pred.mean + _norm.ppf(0.9) * math.sqrt(pred.variance)
+        (mean,), (var,) = gp_predict_many(
+            resumed.models["typeII"], problem.space.normalize(np.array(coords)).reshape(1, -1))
+        q = mean + _norm.ppf(0.9) * math.sqrt(var)
         if q <= 0:
             feasible_after.add(coords)
     assert before <= feasible_after

@@ -8,7 +8,6 @@ from trialopt.gp import (
     KernelParams,
     build_model,
     fit_hyperparameters,
-    gp_predict,
     gp_predict_many,
     kernel,
     kernel_matrix,
@@ -64,28 +63,28 @@ def test_kernel_printed_form_no_half_factor():
 def test_one_point_noiseless_interpolation():
     params = KernelParams(0.9, (0.3,))
     model = build_model([[0.4]], [0.7], [0.0], params)
-    pred = gp_predict(model, [0.4])
-    assert pred.mean == pytest.approx(0.7, abs=1e-12)
-    assert pred.variance == pytest.approx(0.0, abs=1e-12)
+    (mean,), (var,) = gp_predict_many(model, np.array([[0.4]]))
+    assert mean == pytest.approx(0.7, abs=1e-12)
+    assert var == pytest.approx(0.0, abs=1e-12)
 
 
 def test_one_point_shrinkage_closed_form():
     sigma, omega2, y = 0.85, 0.04, 0.6
     params = KernelParams(sigma, (0.5,))
     model = build_model([[0.3]], [y], [omega2], params)
-    pred = gp_predict(model, [0.3])
-    assert pred.mean == pytest.approx(sigma * y / (sigma + omega2), abs=1e-12)
-    assert pred.variance == pytest.approx(sigma - sigma**2 / (sigma + omega2), abs=1e-12)
+    (mean,), (var,) = gp_predict_many(model, np.array([[0.3]]))
+    assert mean == pytest.approx(sigma * y / (sigma + omega2), abs=1e-12)
+    assert var == pytest.approx(sigma - sigma**2 / (sigma + omega2), abs=1e-12)
     # shrinkage: posterior mean lies between the prior mean 0 and the target
-    assert 0.0 < pred.mean < y
+    assert 0.0 < mean < y
 
 
 def test_empty_model_returns_prior():
     params = KernelParams(1.3, (0.5,))
     model = build_model(np.empty((0, 1)), [], [], params)
-    pred = gp_predict(model, [0.2])
-    assert pred.mean == 0.0
-    assert pred.variance == pytest.approx(1.3)
+    (mean,), (var,) = gp_predict_many(model, np.array([[0.2]]))
+    assert mean == 0.0
+    assert var == pytest.approx(1.3)
 
 
 def test_log_marginal_likelihood_unit_fixtures():
@@ -105,10 +104,10 @@ def test_matches_dense_oracle_on_random_instances():
         X, y, noise, params = random_instance(rng)
         model = build_model(X, y, noise, params)
         x_star = rng.random(X.shape[1])
-        pred = gp_predict(model, x_star)
+        (pred_mean,), (pred_var,) = gp_predict_many(model, x_star.reshape(1, -1))
         mean, var, logml = dense_oracle(X, y, noise, params, x_star)
-        assert pred.mean == pytest.approx(mean, abs=1e-8)
-        assert pred.variance == pytest.approx(max(var, 0.0), abs=1e-8)
+        assert pred_mean == pytest.approx(mean, abs=1e-8)
+        assert pred_var == pytest.approx(max(var, 0.0), abs=1e-8)
         assert log_marginal_likelihood(X, y, noise, params) == pytest.approx(
             logml, abs=1e-8
         )
@@ -194,8 +193,8 @@ def test_duplicate_inputs_with_zero_noise_survive_via_jitter():
     X = np.array([[0.5], [0.5], [0.5]])
     model = build_model(X, [0.1, 0.1, 0.1], [0.0, 0.0, 0.0], params)
     assert model.jitter > 0
-    pred = gp_predict(model, [0.5])
-    assert np.isfinite(pred.mean) and np.isfinite(pred.variance)
+    (mean,), (var,) = gp_predict_many(model, np.array([[0.5]]))
+    assert np.isfinite(mean) and np.isfinite(var)
 
 
 def test_fit_requires_two_points():

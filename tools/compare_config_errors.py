@@ -82,6 +82,19 @@ CASES = {
     # two hypotheses with one name: the last would replace the first
     "second alt with beta1 0.0": lambda cfg: cfg["hypotheses"].append(
         {**cfg["hypotheses"][0], "params": {**cfg["hypotheses"][0]["params"], "beta1": 0.0}}),
+    # misspelt keys, once dropped with their defaults used
+    "event misspelt 'evnt'": lambda cfg: cfg["hypotheses"][0].update(
+        evnt=cfg["hypotheses"][0].pop("event")),
+    "budget.iteration 50": _set(("budget", "iteration"), 50),
+    "top-level 'budgett'": _set(("budgett",), {"iterations": 50}),
+    # more objectives than the hypervolume covers
+    "4 linear objectives": _set(
+        ("objectives",), {"labels": ["a", "b", "c", "d"],
+                          "coefficients": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]},
+        ("reference_point",), [600.0, 40.0, 600.0, 600.0]),
+    # three problems of one budget
+    "budget -1 / 0 / 1": _set(("budget",), {"iterations": -1, "n_per_eval": 0,
+                                            "initial_points": 1}),
 }
 
 
