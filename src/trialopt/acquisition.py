@@ -10,7 +10,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .domain import Constraint, DesignSpace, ObjectiveSpec, _refuse
+from .domain import Constraint, DesignSpace, ObjectiveSpec, _finite, _judge, _whole
 from .gp import GpModel, gp_predict_many
 from .pareto import ApproximationSet, HviCalculator
 
@@ -84,7 +84,14 @@ def expected_improvement_batch(
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Global-best particle swarm settings (constriction-style defaults)."""
+    """Global-best particle swarm settings (constriction-style defaults).
+
+    ``swarm_size`` (>= 2), ``iterations`` (>= 1) and ``seed`` are whole
+    numbers: an int, or a whole float, which becomes an int; a bool, a
+    fraction or a string is refused. ``inertia`` (in (0, 1)), ``cognitive``
+    and ``social`` (each > 0) are finite reals, given as an int or a float
+    and kept as a float; a bool, a string, NaN and an infinity are refused.
+    One ValueError names every problem."""
 
     swarm_size: int = 40
     iterations: int = 200
@@ -94,13 +101,14 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _refuse([problem for problem, wrong in (
-            ("swarm_size must be >= 2", self.swarm_size < 2),
-            ("iterations must be >= 1", self.iterations < 1),
-            ("inertia must be in (0, 1)", not 0.0 < self.inertia < 1.0),
-            ("cognitive and social weights must be positive",
-             self.cognitive <= 0 or self.social <= 0),
-        ) if wrong])
+        _judge(self, {
+            "swarm_size": (_whole, lambda v: v >= 2, ">= 2"),
+            "iterations": (_whole, lambda v: v >= 1, ">= 1"),
+            "inertia": (_finite, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            "cognitive": (_finite, lambda v: v > 0, "> 0"),
+            "social": (_finite, lambda v: v > 0, "> 0"),
+            "seed": (_whole, None, ""),
+        })
 
 
 # velocities are clamped to this fraction of each dimension's range

@@ -23,12 +23,11 @@ import fcntl
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -45,6 +44,8 @@ from .domain import (
     Hypothesis,
     ObjectiveSpec,
     Problem,
+    _finite,
+    _whole,
     cross_problems,
     not_a_string,
     pool_by_design,
@@ -80,12 +81,11 @@ class ConfigError(Exception):
 # config handling
 # ---------------------------------------------------------------------------
 
-def _unknown_keys(where: str, entry, known: Sequence[str]) -> list[str]:
-    """A problem per key of ``entry`` (if an object) outside ``known``: a
-    misspelt key would otherwise be dropped, and its default used unseen."""
-    keys = entry if isinstance(entry, Mapping) else ()
+def _unknown_keys(where: str, entry: Mapping, known: Sequence[str]) -> list[str]:
+    """A problem per key of ``entry`` outside ``known``: a misspelt key would
+    otherwise be dropped, and its default used unseen."""
     return [f"{where}: unknown key {key!r} (known: {', '.join(known)})"
-            for key in keys if key not in known]
+            for key in entry if key not in known]
 
 
 def _attempt(problems: list[str], where: str, build):
@@ -96,6 +96,32 @@ def _attempt(problems: list[str], where: str, build):
     except (TypeError, ValueError) as exc:
         problems.append(f"{where}: {exc}")
         return None
+
+
+# a config key where it differs from the name of the domain type's field
+_CONFIG_KEY = {"lower": "low", "upper": "up"}
+
+
+def _read_entry(problems: list[str], where: str, entry, cls, convert: Mapping):
+    """A ``cls`` built from the keys the config object ``entry`` gives, a key
+    left out taking the type's default; or None. Every problem is recorded,
+    prefixed by ``where``: keys that name no field, fields without a default
+    left out, each value that ``convert[key](value, key)`` refuses, and what
+    ``cls`` refuses."""
+    if not isinstance(entry, Mapping):
+        problems.append(f"{where} must be an object, got {entry!r}")
+        return None
+    known = {_CONFIG_KEY.get(f.name, f.name): f for f in fields(cls)}
+    problems.extend(_unknown_keys(where, entry, tuple(known)))
+    judged = len(problems)
+    missing = [key for key, f in known.items() if key not in entry and f.default is MISSING]
+    if missing:
+        problems.append(f"{where} needs {'/'.join(missing)}")
+    values = {f.name: _attempt(problems, where, lambda: convert[key](entry[key], key))
+              if key in convert else entry[key] for key, f in known.items() if key in entry}
+    if len(problems) > judged:
+        return None
+    return _attempt(problems, where, lambda: cls(**values))
 
 
 def load_config(path: str | Path) -> dict:
@@ -142,21 +168,15 @@ def normalize_config(raw: Mapping) -> dict:
         problems.append("'design_space' must be a list")
     else:
         for i, d in enumerate(raw_dims):
-            problems.extend(_unknown_keys(f"design_space[{i}]", d, (
-                "name", "low", "up", "kind")))
-            if not isinstance(d, dict) or not {"name", "low", "up"} <= set(d):
-                problems.append(f"design_space[{i}] needs name/low/up")
-                continue
-            dim = _attempt(problems, f"design_space[{i}]", lambda: Dimension(
-                d["name"], _finite(d["low"], "low"), _finite(d["up"], "up"),
-                d.get("kind", "continuous")))
+            dim = _read_entry(problems, f"design_space[{i}]", d, Dimension,
+                              {"low": _finite, "up": _finite})
             if dim is not None:
                 dims.append(dim)
         # an empty list is judged by the space; one whose every entry failed is not
         if dims or not raw_dims:
             space = _attempt(problems, "design_space", lambda: DesignSpace(dims))
-    cfg["design_space"] = [{"name": d.name, "low": d.lower, "up": d.upper,
-                            "kind": d.kind} for d in dims]
+    cfg["design_space"] = [{_CONFIG_KEY.get(k, k): v for k, v in asdict(d).items()}
+                           for d in dims]
     # the space the config gives, known only when every entry parsed
     whole = space if space is not None and len(dims) == len(raw_dims) else None
 
@@ -168,16 +188,10 @@ def normalize_config(raw: Mapping) -> dict:
         problems.append("'hypotheses' must be a non-empty list")
     else:
         for i, h in enumerate(raw_hyps):
-            problems.extend(_unknown_keys(f"hypotheses[{i}]", h, (
-                "name", "params", "event")))
             if isinstance(h, dict) and isinstance(h.get("name"), str):
                 hyp_names.append(h["name"])
-            if not isinstance(h, dict) or "name" not in h or "params" not in h:
-                problems.append(f"hypotheses[{i}] needs name and params")
-                continue
-            hyp = _attempt(problems, f"hypotheses[{i}]", lambda: Hypothesis(
-                h["name"], {k: _finite(v, k) for k, v in dict(h["params"]).items()},
-                h.get("event", "reject")))
+            hyp = _read_entry(problems, f"hypotheses[{i}]", h, Hypothesis,
+                              {"params": _params})
             if hyp is None:
                 continue
             hyps.append(hyp)
@@ -198,14 +212,8 @@ def normalize_config(raw: Mapping) -> dict:
         problems.append("'constraints' must be a non-empty list")
     else:
         for i, c in enumerate(raw_cons):
-            problems.extend(_unknown_keys(f"constraints[{i}]", c, (
-                "label", "hypothesis", "nominal", "confidence")))
-            if not isinstance(c, dict) or not {"label", "hypothesis", "nominal"} <= set(c):
-                problems.append(f"constraints[{i}] needs label/hypothesis/nominal")
-                continue
-            con = _attempt(problems, f"constraints[{i}]", lambda: Constraint(
-                c["label"], c["hypothesis"], float(c["nominal"]),
-                float(c.get("confidence", 0.9))))
+            con = _read_entry(problems, f"constraints[{i}]", c, Constraint,
+                              {"nominal": _finite, "confidence": _finite})
             if con is not None:
                 cons.append(con)
     cfg["constraints"] = [asdict(c) for c in cons]
@@ -248,14 +256,13 @@ def normalize_config(raw: Mapping) -> dict:
     if scenario is not None and whole is not None:
         problems.extend(scenario.space_problems(whole))
 
-    # defaults from the domain objects, whose own checks then judge the values
-    for key, default, build in (("budget", BudgetConfig(), budget_from_config),
-                                ("pso", PsoConfig(), pso_from_config)):
-        given = _attempt(problems, key, lambda: dict(raw.get(key, {}) or {}))
-        if given is not None:
-            cfg[key] = {k: given.get(k, v) for k, v in asdict(default).items()}
-            problems.extend(_unknown_keys(key, given, tuple(cfg[key])))
-            _attempt(problems, key, lambda: build(cfg))
+    # the types judge the values; kept as given, a whole float such as 30.0
+    # too, so that config.normalized and its hash read as they always have
+    for key, cls in (("budget", BudgetConfig), ("pso", PsoConfig)):
+        given = raw.get(key) or {}
+        settings = _read_entry(problems, key, given, cls, {})
+        if settings is not None:
+            cfg[key] = {k: given.get(k, v) for k, v in asdict(settings).items()}
 
     cfg["seed"] = _attempt(problems, "seed", lambda: _seed(raw.get("seed", 0)))
 
@@ -313,16 +320,6 @@ def _require_preparable(problem: Problem, sim: TrialSimulator, count: int) -> No
                            for (name, message), point in first.items()])
 
 
-def _whole(value, name: str) -> int:
-    """``int(value)`` for a count given as an int or a whole float; a fraction
-    such as 2.7 is refused rather than truncated, and so are a bool and a
-    string."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _seed(value) -> int:
     """A run seed: a whole number in [0, 2**64). ``derive_replicate_seed``
     keeps 64 bits of it, so a larger or negative seed would alias another."""
@@ -332,12 +329,11 @@ def _seed(value) -> int:
     return seed
 
 
-def _finite(value, name: str) -> float:
-    """``float(value)``, refusing NaN and infinities."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return number
+def _params(params, name: str) -> dict[str, float]:
+    """A hypothesis's parameters: an object of finite reals."""
+    if not isinstance(params, Mapping):
+        raise ValueError(f"{name} must be an object, got {params!r}")
+    return {k: _finite(v, k) for k, v in params.items()}
 
 
 def _linear_objectives(obj: Mapping, space: DesignSpace | None) -> dict:
@@ -373,28 +369,6 @@ def build_objectives(obj_cfg: Mapping, scenario: Scenario,
             return np.matmul(matrix, X[:, :, None])[:, :, 0]
 
     return ObjectiveSpec(tuple(labels), evaluate)
-
-
-def budget_from_config(cfg: Mapping) -> BudgetConfig:
-    b = cfg["budget"]
-    return BudgetConfig(
-        iterations=_whole(b["iterations"], "iterations"),
-        n_per_eval=_whole(b["n_per_eval"], "n_per_eval"),
-        initial_points=(None if b["initial_points"] is None
-                        else _whole(b["initial_points"], "initial_points")),
-        max_total_samples=(None if b["max_total_samples"] is None
-                           else _whole(b["max_total_samples"], "max_total_samples")),
-    )
-
-
-def pso_from_config(cfg: Mapping) -> PsoConfig:
-    p = cfg["pso"]
-    return PsoConfig(
-        swarm_size=_whole(p["swarm_size"], "swarm_size"),
-        iterations=_whole(p["iterations"], "iterations"),
-        inertia=float(p["inertia"]), cognitive=float(p["cognitive"]),
-        social=float(p["social"]), seed=_whole(p["seed"], "seed"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +601,10 @@ def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
     cfg = normalize_config(_apply_overrides(load_config(config_path),
                                             seed, iterations, n_per_eval))
     problem, sim = build_problem(cfg)
-    budget = budget_from_config(cfg)
+    budget = BudgetConfig(**cfg["budget"])
     _require_preparable(problem, sim, budget.resolve_initial_points(problem.space.ndim))
     return _optimize(Path(out_dir), cfg, lambda write: engine.run(
-        problem, sim, budget, pso=pso_from_config(cfg),
+        problem, sim, budget, pso=PsoConfig(**cfg["pso"]),
         seed=cfg["seed"], record_callback=write,
     ), new=True)
 
@@ -679,11 +653,12 @@ def cmd_resume(checkpoint: str, iterations: int = 0,
         )
     cfg = normalize_config(_apply_overrides(raw, nominals=nominals))
     problem, sim = build_problem(cfg)
+    engine.require_resumable(data, problem)  # before the directory is written
 
     out = Path(out_dir) if out_dir else run_dir
     return _optimize(out, cfg, lambda write: engine.resume_run(
-        data, problem, sim, budget_from_config(cfg),
-        pso=pso_from_config(cfg), iterations=iterations, record_callback=write,
+        data, problem, sim, BudgetConfig(**cfg["budget"]),
+        pso=PsoConfig(**cfg["pso"]), iterations=iterations, record_callback=write,
     ), data.records, new=out.resolve() != run_dir.resolve())
 
 
@@ -704,7 +679,7 @@ def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
     with _run_directory(out, cfg, new=True) as write:
         aset, records = engine.fixed_design_search(
             problem, sim, count=count,
-            n_samples=int(cfg["budget"]["n_per_eval"]),
+            n_samples=BudgetConfig(**cfg["budget"]).n_per_eval,
             confidence=confidence, seed=cfg["seed"], record_callback=write,
         )
         hv = hypervolume(aset)
@@ -734,8 +709,8 @@ def cmd_verify(run_dir: str, n_verify: int = 100000) -> int:
     with RunLock(run):
         data = engine.load_checkpoint(run / CHECKPOINT_NAME)
         try:
-            state = engine.resume_run(data, problem, sim, budget_from_config(cfg),
-                                      pso=pso_from_config(cfg), iterations=0)
+            state = engine.resume_run(data, problem, sim, BudgetConfig(**cfg["budget"]),
+                                      pso=PsoConfig(**cfg["pso"]), iterations=0)
         except RunAborted as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

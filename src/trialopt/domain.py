@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -42,6 +42,47 @@ def _refuse(problems: Sequence[str]) -> None:
     """Raise one ValueError naming every problem an object found in itself."""
     if problems:
         raise ValueError("; ".join(problems))
+
+
+def _whole(value, name: str) -> int:
+    """``int(value)`` for a count given as an int or a whole float; a fraction
+    such as 2.7 is refused rather than truncated, and so are a bool and a
+    string."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _finite(value, name: str) -> float:
+    """``float(value)`` for a finite real given as an int or a float; a bool,
+    a string, NaN and an infinity are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _judge(obj, rules: Mapping[str, tuple[Callable, Callable | None, str]]) -> None:
+    """Judge fields of the frozen dataclass ``obj``: ``rules`` maps a field
+    name to (convert, within, bound). A field whose default is None may be
+    None; any other value becomes ``convert(value, name)``, and unless
+    ``within`` is None or holds of that, it "must be ``bound``". One
+    ValueError names every problem."""
+    problems = []
+    for name, (convert, within, bound) in rules.items():
+        if getattr(obj, name) is None and getattr(type(obj), name, MISSING) is None:
+            continue
+        try:
+            value = convert(getattr(obj, name), name)
+        except ValueError as exc:
+            problems.append(str(exc))
+            continue
+        object.__setattr__(obj, name, value)
+        if within is not None and not within(value):
+            problems.append(f"{name} must be {bound}")
+    _refuse(problems)
 
 
 def repeated(names: Iterable[str]) -> list[str]:
@@ -259,7 +300,9 @@ def mc_variance_of(successes, n_samples):
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One Monte Carlo evaluation of a design point under one hypothesis."""
+    """One Monte Carlo evaluation of a design point under one hypothesis;
+    refuses ``n_samples`` unless a whole number >= 1 and ``successes`` unless
+    a whole number in [0, n_samples]."""
 
     point: DesignPoint
     hypothesis: str
@@ -269,10 +312,9 @@ class EvaluationRecord:
     iteration: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.successes <= self.n_samples:
-            raise ValueError(
-                f"successes {self.successes} outside [0, {self.n_samples}]"
-            )
+        _judge(self, {"n_samples": (_whole, lambda n: n >= 1, ">= 1")})
+        _judge(self, {"successes": (_whole, lambda s: 0 <= s <= self.n_samples,
+                                    f"in [0, {self.n_samples}]")})
 
     @property
     def estimate(self) -> float:

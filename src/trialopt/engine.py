@@ -25,7 +25,8 @@ from .domain import (
     DesignPoint,
     EvaluationRecord,
     Problem,
-    _refuse,
+    _judge,
+    _whole,
     mc_variance_of,
     pool_by_design,
 )
@@ -48,7 +49,7 @@ from .sobol import sobol_points  # re-exported: the initial design generator
 
 __all__ = [
     "BudgetConfig", "RunState", "RunAborted", "CheckpointError",
-    "sobol_points", "run", "resume_run", "recompute_feasible_set",
+    "sobol_points", "run", "require_resumable", "resume_run", "recompute_feasible_set",
     "fixed_design_search", "save_checkpoint", "load_checkpoint",
 ]
 
@@ -82,22 +83,26 @@ class CheckpointError(RuntimeError):
 @dataclass(frozen=True)
 class BudgetConfig:
     """Evaluation budget: initial design size, samples per evaluation,
-    iteration count and an optional cap on total simulator calls."""
+    iteration count and an optional cap on total simulator calls.
+
+    Every field is a whole number: an int, or a whole float, which becomes
+    an int; a bool, a fraction or a string is refused. ``iterations`` must
+    be >= 0 and ``n_per_eval`` >= 1; ``initial_points`` must be >= 2, or
+    None for 10 per dimension, and ``max_total_samples`` >= 1, or None for
+    no cap. One ValueError names every problem."""
 
     iterations: int = 30
     n_per_eval: int = 100
-    initial_points: int | None = None  # default: 10 per dimension
+    initial_points: int | None = None
     max_total_samples: int | None = None
 
     def __post_init__(self):
-        _refuse([problem for problem, wrong in (
-            ("iterations must be >= 0", self.iterations < 0),
-            ("n_per_eval must be >= 1", self.n_per_eval < 1),
-            ("initial_points must be >= 2",
-             self.initial_points is not None and self.initial_points < 2),
-            ("max_total_samples must be >= 1",
-             self.max_total_samples is not None and self.max_total_samples < 1),
-        ) if wrong])
+        _judge(self, {
+            "iterations": (_whole, lambda v: v >= 0, ">= 0"),
+            "n_per_eval": (_whole, lambda v: v >= 1, ">= 1"),
+            "initial_points": (_whole, lambda v: v >= 2, ">= 2"),
+            "max_total_samples": (_whole, lambda v: v >= 1, ">= 1"),
+        })
 
     def resolve_initial_points(self, ndim: int) -> int:
         return self.initial_points if self.initial_points is not None else 10 * ndim
@@ -312,6 +317,24 @@ def run(
     return state
 
 
+def require_resumable(data: CheckpointData, problem: Problem) -> None:
+    """Refuse (CheckpointError) a checkpoint that ``problem`` cannot resume:
+    one with hyperparameters for a constraint the problem lacks, or with a
+    record whose point has other than one coordinate per dimension or whose
+    hypothesis is not one of the problem's."""
+    unknown = sorted(set(data.params) - {c.label for c in problem.constraints})
+    if unknown:
+        raise CheckpointError("checkpoint has hyperparameters for constraint(s) "
+                              f"{unknown} that the problem lacks")
+    for i, rec in enumerate(data.records):
+        if len(rec.point.coords) != problem.space.ndim:
+            raise CheckpointError(f"checkpoint record {i} has {len(rec.point.coords)} "
+                                  f"coordinates for {problem.space.ndim} dimensions")
+        if not (isinstance(rec.hypothesis, str) and rec.hypothesis in problem.hypotheses):
+            raise CheckpointError(f"checkpoint record {i} names hypothesis "
+                                  f"{rec.hypothesis!r}, which the problem lacks")
+
+
 def resume_run(
     data: CheckpointData,
     problem: Problem,
@@ -327,12 +350,9 @@ def resume_run(
     To revise a bound, pass a problem with the revised constraints: the GPs
     are rebuilt against it (stored hyperparameters, new targets) and the
     feasible set is recomputed before any further simulation. The problem
-    must hold a constraint for every label in the checkpoint (ValueError).
+    must be able to resume the checkpoint (``require_resumable``).
     """
-    unknown = sorted(set(data.params) - {c.label for c in problem.constraints})
-    if unknown:
-        raise ValueError("checkpoint has hyperparameters for constraint(s) "
-                         f"{unknown} that the problem lacks")
+    require_resumable(data, problem)
     state = RunState(
         problem=problem, budget=budget, pso=pso or PsoConfig(),
         master_seed=data.master_seed,

@@ -105,18 +105,19 @@ def derive_replicate_seed(master_seed: int, eval_index: int, replicate_index: in
     below 2**32: the pair is packed into a 64-bit counter and passed through
     a bijective mixer keyed on the master seed.
     """
-    if eval_index < 0 or replicate_index < 0:
-        raise ValueError("indices must be non-negative")
-    counter = ((eval_index & 0xFFFFFFFF) << 32) | (replicate_index & 0xFFFFFFFF)
-    return _splitmix64(counter ^ _splitmix64(master_seed & _MASK64))
+    return _replicate_seeds(master_seed, eval_index, replicate_index)
 
 
-def _replicate_seeds(master_seed: int, eval_index: int, start: int, stop: int) -> np.ndarray:
-    """``derive_replicate_seed`` for replicates ``start`` to ``stop - 1``, as uint64."""
-    if eval_index < 0:
+def _replicate_seeds(master_seed: int, eval_index: int, start: int,
+                     stop: int | None = None):
+    """``derive_replicate_seed`` for replicates ``start`` to ``stop - 1``, as
+    uint64; for replicate ``start`` alone, as an int, when ``stop`` is None.
+    The one replicate is mixed as an int, not a one-element array, which
+    takes ten times as long for the same value."""
+    if eval_index < 0 or start < 0:
         raise ValueError("indices must be non-negative")
-    replicates = np.arange(start, stop, dtype=np.uint64) & 0xFFFFFFFF
-    counter = ((eval_index & 0xFFFFFFFF) << 32) | replicates
+    replicates = start if stop is None else np.arange(start, stop, dtype=np.uint64)
+    counter = ((eval_index & 0xFFFFFFFF) << 32) | (replicates & 0xFFFFFFFF)
     return _splitmix64(counter ^ _splitmix64(master_seed & _MASK64))
 
 

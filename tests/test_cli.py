@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialopt import cli, engine
+from trialopt.acquisition import PsoConfig
 from trialopt.cli import (
     ConfigError,
     RunLock,
-    budget_from_config,
     canonical_dumps,
     cmd_baseline,
     cmd_run,
@@ -189,6 +189,11 @@ CLUSTER_CONFIG = Path(__file__).resolve().parents[1] / "tools" / "configs" / "cl
     (lambda c: c["hypotheses"].append(
         {**c["hypotheses"][0], "params": {**c["hypotheses"][0]["params"], "beta1": 0.0}}),
      "duplicate hypothesis name 'alt'"),
+    # a weight that is not finite would make every particle NaN in the first iteration
+    *[(lambda c, weight=weight, value=value: c.setdefault("pso", {}).update({weight: value}),
+       f"pso: {weight} must be finite, got {value}")
+      for weight in ("inertia", "cognitive", "social")
+      for value in (math.nan, math.inf, -math.inf)],
 ])
 def test_cluster_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, edit,
                                                                message):
@@ -197,7 +202,7 @@ def test_cluster_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys,
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert main(["run", str(path), "--out", str(out), "--iterations", "1"]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"config error: {message}\n"
 
@@ -234,6 +239,16 @@ def test_non_finite_hypothesis_parameter_exits_2_before_writing(tmp_path, capsys
      ["budget: iterations must be >= 0; n_per_eval must be >= 1; "
       "initial_points must be >= 2",
       "pso: swarm_size must be >= 2; inertia must be in (0, 1)"]),
+    (lambda c: c.update(budget={"iterations": True, "n_per_eval": "x", "initial_points": 2.5},
+                        pso={"swarm_size": "a", "inertia": "b"}),
+     ["budget: iterations must be a whole number, got True; n_per_eval must be a "
+      "whole number, got 'x'; initial_points must be a whole number, got 2.5",
+      "pso: swarm_size must be a whole number, got 'a'; inertia must be a number, "
+      "got 'b'"]),
+    (lambda c: (c["design_space"][1].pop("up"), c["hypotheses"][0].pop("params"),
+                c["constraints"][0].pop("nominal"), c["constraints"].append("typeI")),
+     ["design_space[1] needs up", "hypotheses[0] needs params",
+      "constraints[0] needs nominal", "constraints[1] must be an object, got 'typeI'"]),
 ])
 def test_problems_of_different_layers_come_in_one_report(edit, messages):
     bad = json.loads(CLUSTER_CONFIG.read_text())
@@ -256,9 +271,10 @@ def test_resume_nominal_is_judged_by_the_config_rules(tmp_path, capsys):
 
 
 CONFIGS = sorted(CLUSTER_CONFIG.parent.glob("*.json"))
-# counts a config may leave out, so that a mutation can also set them
-OPTIONAL_COUNTS = [("budget", "max_total_samples"), ("pso", "swarm_size"),
-                   ("pso", "iterations"), ("pso", "seed")]
+# run settings a config may leave out, so that a mutation can also set them
+OPTIONAL_SETTINGS = [("budget", "max_total_samples"), ("pso", "swarm_size"),
+                     ("pso", "iterations"), ("pso", "seed"), ("pso", "inertia"),
+                     ("pso", "cognitive"), ("pso", "social")]
 DELETE, SWAP = object(), object()
 # type swaps, non-finite numbers, small or invalid counts, out-of-range
 # hypothesis values; never a large count, which would ask for that much work
@@ -308,7 +324,7 @@ def mutated_configs(draw):
     path = draw(st.sampled_from(CONFIGS))
     cfg = json.loads(path.read_text())
     for _ in range(draw(st.integers(1, 2))):
-        where = draw(st.sampled_from(list(_paths(cfg)) + OPTIONAL_COUNTS))
+        where = draw(st.sampled_from(list(_paths(cfg)) + OPTIONAL_SETTINGS))
         _mutate(cfg, where, draw(st.sampled_from(MUTATIONS)))
     return cfg
 
@@ -338,10 +354,15 @@ def test_malformed_hypothesis_value_is_reported_once():
 
 def test_whole_float_counts_are_kept_as_given():
     cfg = normalize_config(analytic_config(
-        budget={"initial_points": 6.0, "n_per_eval": 30.0, "iterations": 3.0}))
+        budget={"initial_points": 6.0, "n_per_eval": 30.0, "iterations": 3.0},
+        pso={"swarm_size": 16.0, "iterations": 40, "cognitive": 2}))
     assert cfg["budget"]["iterations"] == 3.0
-    assert budget_from_config(cfg) == BudgetConfig(iterations=3, n_per_eval=30,
-                                                   initial_points=6)
+    assert cfg["pso"]["swarm_size"] == 16.0
+    budget, pso = BudgetConfig(**cfg["budget"]), PsoConfig(**cfg["pso"])
+    assert budget == BudgetConfig(iterations=3, n_per_eval=30, initial_points=6)
+    assert (type(budget.iterations), type(pso.swarm_size)) == (int, int)
+    assert pso == PsoConfig(swarm_size=16, iterations=40, cognitive=2.0)
+    assert type(pso.cognitive) is float
 
 
 def test_malformed_command_line_budget_exits_2_before_writing(tmp_path, capsys):
@@ -574,6 +595,37 @@ def test_resume_refuses_non_finite_kernel_parameters(tmp_path, capsys, field, ba
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(["resume", str(checkpoint), "--iterations", "1"]) == 2
     assert "corrupt checkpoint" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["resume", "verify"])
+@pytest.mark.parametrize("edit, problem", [
+    (lambda d: d["records"][0].update(n_samples=0),
+     "corrupt checkpoint {checkpoint}: n_samples must be >= 1"),
+    (lambda d: d["records"][0].update(successes=1.5),
+     "corrupt checkpoint {checkpoint}: successes must be a whole number, got 1.5"),
+    (lambda d: d["records"][0]["point"].append(1.0),
+     "checkpoint record 0 has 2 coordinates for 1 dimensions"),
+    (lambda d: d["records"][0].update(hypothesis="nope"),
+     "checkpoint record 0 names hypothesis 'nope', which the problem lacks"),
+    (lambda d: d["gp_params"].update(ghost=d["gp_params"]["typeII"]),
+     "checkpoint has hyperparameters for constraint(s) ['ghost'] that the problem lacks"),
+], ids=["n_samples", "successes", "point", "hypothesis", "gp_params"])
+def test_corrupt_checkpoint_exits_2_before_writing(tmp_path, capsys, command, edit,
+                                                   problem):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "0"]) == 0
+    checkpoint = out / "checkpoint.bin"
+    doc = json.loads(checkpoint.read_text())
+    edit(doc)
+    checkpoint.write_text(json.dumps(doc))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    argv = (["resume", str(checkpoint), "--iterations", "0"] if command == "resume"
+            else ["verify", str(out), "--n-verify", "100"])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {problem.format(checkpoint=checkpoint)}\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

@@ -287,7 +287,8 @@ def test_resume_rejects_renamed_constraints(tmp_path):
                                            n_per_eval=20), pso=FAST_PSO, seed=1)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(state, path)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError,
+                       match=r"constraint\(s\) \['typeII'\] that the problem lacks"):
         resume_run(load_checkpoint(path),
                    replace(problem, constraints=(Constraint("other", "alt", 0.2),)),
                    sim, BudgetConfig(iterations=0))

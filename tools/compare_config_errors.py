@@ -4,13 +4,13 @@
 
 Every case edits ``tools/configs/cluster_2obj.json`` with its
 ``budget.iterations`` set to 0 (the command line would override the
-config's own budget). Each checkout runs ``trialopt run CONFIG --out DIR``
-and ``trialopt baseline CONFIG --out DIR --count 5`` on the edited config,
-each into a fresh directory, in a fresh interpreter that imports
-``trialopt`` from the checkout's own ``src`` directory. The ``resume`` case
-runs the unedited config with ``--iterations 0 --n-per-eval 20``, then
-``trialopt resume DIR/checkpoint.bin --nominal typeII=1.5`` in that
-directory.
+config's own budget), or to 1 where a case says so. Each checkout runs
+``trialopt run CONFIG --out DIR`` and ``trialopt baseline CONFIG --out DIR
+--count 5`` on the edited config, each into a fresh directory, in a fresh
+interpreter that imports ``trialopt`` from the checkout's own ``src``
+directory. The ``resume`` case runs the unedited config with
+``--iterations 0 --n-per-eval 20``, then ``trialopt resume
+DIR/checkpoint.bin --nominal typeII=1.5`` in that directory.
 
 For every case and command it prints both sides' exit code, the files the
 command wrote and its stderr lines (the change's, and the parent's when they
@@ -95,6 +95,14 @@ CASES = {
     # three problems of one budget
     "budget -1 / 0 / 1": _set(("budget",), {"iterations": -1, "n_per_eval": 0,
                                             "initial_points": 1}),
+    # values of the wrong kind, all of one budget and one pso
+    "budget true / 'x' / 2.5": _set(("budget",), {"iterations": True, "n_per_eval": "x",
+                                                  "initial_points": 2.5}),
+    "pso 'a' / 'b'": _set(("pso",), {"swarm_size": "a", "inertia": "b"}),
+    # weights that are not finite, met only once the swarm flies: one iteration
+    "pso.cognitive Infinity": _set(("pso",), {"cognitive": math.inf},
+                                   ("budget", "iterations"), 1),
+    "pso.social NaN": _set(("pso",), {"social": math.nan}, ("budget", "iterations"), 1),
 }
 
 
