@@ -32,7 +32,6 @@ from .domain import (
 )
 from .engine import (
     BudgetConfig,
-    RunAborted,
     RunState,
     fixed_design_search,
     load_checkpoint,

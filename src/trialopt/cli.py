@@ -3,9 +3,12 @@ optimizations, run the fixed-design baseline, and emit machine-readable
 reports.
 
 A run directory contains: config.normalized (the effective config),
-evals.log (one JSON record per evaluation, in order; ``resume`` writes it
-afresh from the checkpoint's records), pareto.csv, trajectory.csv,
-checkpoint.bin, report.txt and, after ``verify``, pareto_verified.csv.
+evals.log (one JSON record per evaluation, in order), pareto.csv,
+trajectory.csv, checkpoint.bin, report.txt and, after ``verify``,
+pareto_verified.csv. ``run`` and ``resume`` write evals.log and
+checkpoint.bin together at each iteration boundary of ``engine.run``, so the
+log holds the checkpoint's records: a killed run resumes from its last
+boundary, and one killed before its first leaves no evals.log.
 While a command works in it the directory also holds .lock, which every
 command locks (``flock``) before it writes anything; one that finds it held
 exits 2 without changing the directory, and the holder's exit, killed or
@@ -51,9 +54,9 @@ from .domain import (
     pool_by_design,
     repeated,
 )
-from .engine import BudgetConfig, CheckpointError, RunAborted, RunState
-from .gp import gp_predict_many
-from .montecarlo import TrialSimulator, mc_estimate
+from .engine import BudgetConfig, CheckpointError, RunState
+from .gp import GpConditioningError, gp_predict_many
+from .montecarlo import SimulationError, TrialSimulator, mc_estimate
 from .pareto import hypervolume
 from .simlib import Scenario, UnknownScenarioError, get_scenario
 
@@ -129,7 +132,7 @@ def load_config(path: str | Path) -> dict:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer of over 4300 digits
         raise ConfigError([f"config is not valid JSON: {exc}"]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be an object"])
@@ -407,8 +410,8 @@ class RunLock:
 
 
 def record_writer(log_path: Path):
-    """A newline-delimited record log, started afresh at ``log_path``;
-    flushed per record so a crashed run loses at most one evaluation."""
+    """A newline-delimited record log, started afresh at ``log_path``: its
+    handle and the function that appends one record, flushed as written."""
     handle = open(log_path, "w")
 
     def write(rec: EvaluationRecord):
@@ -529,67 +532,74 @@ def _apply_overrides(raw: Mapping, seed=None, iterations=None, n_per_eval=None,
 
 
 @contextmanager
-def _run_directory(out: Path, cfg: Mapping,
-                   records: Sequence[EvaluationRecord] = (), new: bool = False):
+def _run_directory(out: Path, cfg: Mapping, new: bool = False):
     """Hold ``out`` for one command, locked before anything in it is written:
     refuse it, when ``new``, if it holds another run; write config.normalized
-    and yield the writer of a fresh evals.log that starts with ``records`` (a
-    resume's checkpoint records, never those a killed command logged later)."""
+    and yield ``log(records)``, which appends to evals.log the records past
+    those logged before. The first call starts the log afresh: a resume's
+    log holds its checkpoint's records, never those a killed command logged."""
     out.mkdir(parents=True, exist_ok=True)
     with RunLock(out):
         if new:
             _require_new_run_dir(out)
         (out / CONFIG_NAME).write_text(canonical_dumps(cfg) + "\n")
-        handle, write = record_writer(out / LOG_NAME)
-        try:
-            for rec in records:
+        handle = write = None
+        logged = 0
+
+        def log(records: Sequence[EvaluationRecord]) -> None:
+            nonlocal handle, write, logged
+            if handle is None:
+                handle, write = record_writer(out / LOG_NAME)
+            for rec in records[logged:]:
                 write(rec)
-            yield write
+            logged = len(records)
+
+        try:
+            yield log
         finally:
-            handle.close()
+            if handle is not None:
+                handle.close()
 
 
 def _require_new_run_dir(out: Path) -> None:
     """Refuse a directory that holds another run: its checkpoint, or the
     evals.log an earlier command left, would be replaced."""
-    if (out / CHECKPOINT_NAME).exists():
-        raise ConfigError(
-            [f"{out / CHECKPOINT_NAME} already exists; use 'resume' or a fresh "
-             "directory"]
-        )
-    if (out / LOG_NAME).exists():
-        raise ConfigError(
-            [f"{out / LOG_NAME} already exists; a new run would replace it: "
-             "use a fresh directory"]
-        )
+    for name, advice in ((CHECKPOINT_NAME, "use 'resume' or a fresh directory"),
+                         (LOG_NAME, "a new run would replace it: use a fresh directory")):
+        if (out / name).exists():
+            raise ConfigError([f"{out / name} already exists; {advice}"])
 
 
-def _optimize(out: Path, cfg: Mapping, step, records=(), new=False) -> int:
-    """Run ``step(record_callback)``, which calls ``engine.run`` or
-    ``engine.resume_run``, in ``_run_directory(out, cfg, records, new)``,
-    then write the checkpoint, stamped with the config hash, and every output.
-
-    An aborted step still leaves a resumable checkpoint of the state it
-    reached, and returns 1.
-    """
+def _optimize(out: Path, cfg: Mapping, step, new=False) -> int:
+    """Run ``step(on_iteration)``, which calls ``engine.run`` or
+    ``engine.resume_run``, in ``_run_directory(out, cfg, new)``, then write
+    every output. At each iteration boundary ``on_iteration`` logs the new
+    records and writes the checkpoint, stamped with the config hash. An
+    aborted step, or a boundary that cannot be written, returns 1."""
     cfg_hash = config_hash(cfg)
     checkpoint = out / CHECKPOINT_NAME
-    with _run_directory(out, cfg, records, new) as write:
+    with _run_directory(out, cfg, new) as log:
+        reached = None  # the iteration of the last checkpoint written
+
+        def on_iteration(state: RunState) -> None:
+            nonlocal reached
+            log(state.records)
+            engine.save_checkpoint(state, checkpoint, config_hash=cfg_hash)
+            reached = state.iteration
+
         t0 = time.perf_counter()
         try:
-            state = step(write)
-        except RunAborted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            try:
-                engine.save_checkpoint(exc.state, checkpoint, config_hash=cfg_hash)
-            except OSError as err:
-                print(f"error: could not write checkpoint {checkpoint}: {err}",
-                      file=sys.stderr)
-            else:
-                print(f"resumable checkpoint: {checkpoint}", file=sys.stderr)
+            state = step(on_iteration)
+        except (GpConditioningError, SimulationError) as exc:
+            print(f"error: aborted: {exc}", file=sys.stderr)
+            print(f"resumable checkpoint (iteration {reached}): {checkpoint}"
+                  if reached is not None else "no checkpoint was written",
+                  file=sys.stderr)
+            return 1
+        except OSError as exc:  # the engine writes nothing: a boundary failed
+            print(f"error: could not write checkpoint: {exc}", file=sys.stderr)
             return 1
         elapsed = time.perf_counter() - t0
-        engine.save_checkpoint(state, checkpoint, config_hash=cfg_hash)
         write_pareto_csv(out / PARETO_NAME, state.problem, state)
         write_trajectory_csv(out / TRAJECTORY_NAME, state.trajectory)
         write_report(out / REPORT_NAME, state.problem, state, elapsed, cfg_hash)
@@ -603,9 +613,9 @@ def cmd_run(config_path: str, out_dir: str, seed=None, iterations=None,
     problem, sim = build_problem(cfg)
     budget = BudgetConfig(**cfg["budget"])
     _require_preparable(problem, sim, budget.resolve_initial_points(problem.space.ndim))
-    return _optimize(Path(out_dir), cfg, lambda write: engine.run(
+    return _optimize(Path(out_dir), cfg, lambda on_iteration: engine.run(
         problem, sim, budget, pso=PsoConfig(**cfg["pso"]),
-        seed=cfg["seed"], record_callback=write,
+        seed=cfg["seed"], on_iteration=on_iteration,
     ), new=True)
 
 
@@ -626,25 +636,27 @@ def _parse_nominals(pairs: Sequence[str]) -> dict[str, float]:
     return out
 
 
-def cmd_resume(checkpoint: str, iterations: int = 0,
-               nominals: Mapping[str, float] | None = None,
-               out_dir: str | None = None) -> int:
-    if iterations < 0:
-        raise ConfigError([f"--iterations must be >= 0, got {iterations}"])
-    ckpt_path = Path(checkpoint)
-    run_dir = ckpt_path.parent
-    cfg_path = run_dir / CONFIG_NAME
-    if not cfg_path.exists():
-        raise ConfigError([f"no {CONFIG_NAME} found next to {checkpoint}"])
-    raw = load_config(cfg_path)
-    cfg = normalize_config(raw)
-
-    data = engine.load_checkpoint(ckpt_path)
+def _load_checkpoint(path: Path, cfg: Mapping) -> engine.CheckpointData:
+    """The checkpoint at ``path``, refused if stamped with another config's
+    hash: the run directory's config was edited after it was written."""
+    data = engine.load_checkpoint(path)
     if data.config_hash is not None and data.config_hash != config_hash(cfg):
         raise ConfigError(
             ["checkpoint was produced by a different config "
              f"(hash {data.config_hash[:12]}... != {config_hash(cfg)[:12]}...)"]
         )
+    return data
+
+
+def cmd_resume(checkpoint: str, iterations: int = 0,
+               nominals: Mapping[str, float] | None = None,
+               out_dir: str | None = None) -> int:
+    if iterations < 0:
+        raise ConfigError([f"--iterations must be >= 0, got {iterations}"])
+    run_dir = Path(checkpoint).parent
+    raw = load_config(run_dir / CONFIG_NAME)
+    cfg = normalize_config(raw)
+    data = _load_checkpoint(Path(checkpoint), cfg)
 
     unknown = sorted(set(nominals or {}) - {c["label"] for c in cfg["constraints"]})
     if unknown:
@@ -656,10 +668,10 @@ def cmd_resume(checkpoint: str, iterations: int = 0,
     engine.require_resumable(data, problem)  # before the directory is written
 
     out = Path(out_dir) if out_dir else run_dir
-    return _optimize(out, cfg, lambda write: engine.resume_run(
-        data, problem, sim, BudgetConfig(**cfg["budget"]),
-        pso=PsoConfig(**cfg["pso"]), iterations=iterations, record_callback=write,
-    ), data.records, new=out.resolve() != run_dir.resolve())
+    return _optimize(out, cfg, lambda on_iteration: engine.resume_run(
+        data, problem, sim, BudgetConfig(**cfg["budget"]), pso=PsoConfig(**cfg["pso"]),
+        iterations=iterations, on_iteration=on_iteration,
+    ), new=out.resolve() != run_dir.resolve())
 
 
 def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
@@ -676,12 +688,13 @@ def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
     problem, sim = build_problem(cfg)
     _require_preparable(problem, sim, count)
     out = Path(out_dir)
-    with _run_directory(out, cfg, new=True) as write:
+    with _run_directory(out, cfg, new=True) as log:
         aset, records = engine.fixed_design_search(
             problem, sim, count=count,
             n_samples=BudgetConfig(**cfg["budget"]).n_per_eval,
-            confidence=confidence, seed=cfg["seed"], record_callback=write,
+            confidence=confidence, seed=cfg["seed"],
         )
+        log(records)
         hv = hypervolume(aset)
         write_baseline_csv(out / PARETO_NAME, problem, aset, records)
         lines = [
@@ -699,20 +712,17 @@ def cmd_baseline(config_path: str, out_dir: str, seed=None, count: int = 50,
 
 def cmd_verify(run_dir: str, n_verify: int = 100000) -> int:
     run = Path(run_dir)
-    cfg_path = run / CONFIG_NAME
-    if not cfg_path.exists():
-        raise ConfigError([f"no {CONFIG_NAME} in {run_dir}"])
     if n_verify < 1:
         raise ConfigError([f"--n-verify must be >= 1, got {n_verify}"])
-    cfg = normalize_config(load_config(cfg_path))
+    cfg = normalize_config(load_config(run / CONFIG_NAME))
     problem, sim = build_problem(cfg)
     with RunLock(run):
-        data = engine.load_checkpoint(run / CHECKPOINT_NAME)
+        data = _load_checkpoint(run / CHECKPOINT_NAME, cfg)
         try:
             state = engine.resume_run(data, problem, sim, BudgetConfig(**cfg["budget"]),
                                       pso=PsoConfig(**cfg["pso"]), iterations=0)
-        except RunAborted as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (GpConditioningError, SimulationError) as exc:
+            print(f"error: aborted: {exc}", file=sys.stderr)
             return 1
 
         header = list(problem.space.names) + list(problem.objectives.labels)

@@ -56,12 +56,16 @@ def _whole(value, name: str) -> int:
 
 def _finite(value, name: str) -> float:
     """``float(value)`` for a finite real given as an int or a float; a bool,
-    a string, NaN and an infinity are refused."""
+    a string, NaN, an infinity and an int beyond the float range are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _judge(obj, rules: Mapping[str, tuple[Callable, Callable | None, str]]) -> None:

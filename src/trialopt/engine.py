@@ -38,24 +38,17 @@ from .gp import (
     fit_hyperparameters,
     gp_predict_many,
 )
-from .montecarlo import (
-    SimulationError,
-    TrialSimulator,
-    derive_replicate_seed,
-    mc_estimate,
-)
+from .montecarlo import TrialSimulator, derive_replicate_seed, mc_estimate
 from .pareto import ApproximationSet, hypervolume, pareto_filter
 from .sobol import sobol_points  # re-exported: the initial design generator
 
 __all__ = [
-    "BudgetConfig", "RunState", "RunAborted", "CheckpointError",
+    "BudgetConfig", "RunState", "CheckpointError",
     "sobol_points", "run", "require_resumable", "resume_run", "recompute_feasible_set",
     "fixed_design_search", "save_checkpoint", "load_checkpoint",
 ]
 
 logger = logging.getLogger("trialopt.engine")
-
-RecordCallback = Callable[[EvaluationRecord], None]
 
 CHECKPOINT_FORMAT = "trialopt-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -66,14 +59,6 @@ _VERIFY_INDEX_BASE = 3 << 30
 
 # flag a |z| above this between predicted and realized constraint values
 _DIAGNOSTIC_Z = 4.0
-
-
-class RunAborted(RuntimeError):
-    """A run stopped early; carries the state reached, for checkpointing."""
-
-    def __init__(self, message: str, state: RunState):
-        super().__init__(message)
-        self.state = state
 
 
 class CheckpointError(RuntimeError):
@@ -144,7 +129,6 @@ def _evaluate(
     point: DesignPoint,
     hyp_name: str,
     iteration: int,
-    callback: RecordCallback | None,
 ) -> EvaluationRecord:
     # the evaluation index is the number of records made before it
     eval_seed = derive_replicate_seed(state.master_seed, len(state.records), 0)
@@ -157,8 +141,6 @@ def _evaluate(
         successes=est.successes, seed=eval_seed, iteration=iteration,
     )
     state.records.append(record)
-    if callback is not None:
-        callback(record)
     return record
 
 
@@ -247,8 +229,11 @@ def _iterate(
     state: RunState,
     sim: TrialSimulator,
     iterations: int,
-    callback: RecordCallback | None,
+    on_iteration: Callable[[RunState], None],
 ) -> None:
+    """Run up to ``iterations`` iterations, handing ``on_iteration`` the
+    state once before the first and once after each."""
+    on_iteration(state)
     problem = state.problem
     hyp_names = problem.constrained_hypotheses
     cost_per_iteration = state.budget.n_per_eval * len(hyp_names)
@@ -276,12 +261,12 @@ def _iterate(
             mean, var = gp_predict_many(state.models[con.label], unit)
             predictions[con.label] = (float(mean[0]), float(var[0]))
 
-        fresh = {name: _evaluate(state, sim, point, name, it, callback)
-                 for name in hyp_names}
+        fresh = {name: _evaluate(state, sim, point, name, it) for name in hyp_names}
         state.iteration = it
         _diagnose(state, fresh, predictions)
         _update_models(state, refit=True)
         state.trajectory.append(hypervolume(state.approx_set))
+        on_iteration(state)
 
 
 def run(
@@ -290,30 +275,29 @@ def run(
     budget: BudgetConfig,
     pso: PsoConfig | None = None,
     seed: int = 0,
-    record_callback: RecordCallback | None = None,
+    on_iteration: Callable[[RunState], None] = lambda state: None,
 ) -> RunState:
     """Execute the full loop: initial design, then fit/acquire/evaluate cycles.
 
     ``sim`` serves every constrained hypothesis: it is called with the
-    hypothesis of each evaluation. Deterministic given the seed. On a GP
-    conditioning failure or simulator error RunAborted is raised, carrying
-    the state reached.
+    hypothesis of each evaluation. Deterministic given the seed.
+    ``on_iteration(state)`` is called at each iteration boundary: once the
+    initial design is fitted, and after each iteration's trajectory entry. A
+    checkpoint of the state handed there resumes to what the whole run gives.
+    A GpConditioningError or SimulationError propagates.
     """
     if not problem.constraints:
         raise ValueError("at least one constraint is required")
     state = RunState(
         problem=problem, budget=budget, pso=pso or PsoConfig(), master_seed=seed,
     )
-    try:
-        count = budget.resolve_initial_points(problem.space.ndim)
-        for point in initial_design(problem, count):
-            for name in problem.constrained_hypotheses:
-                _evaluate(state, sim, point, name, 0, record_callback)
-        _update_models(state, refit=True)
-        state.trajectory.append(hypervolume(state.approx_set))
-        _iterate(state, sim, budget.iterations, record_callback)
-    except (GpConditioningError, SimulationError) as exc:
-        raise RunAborted(f"run aborted: {exc}", state) from exc
+    count = budget.resolve_initial_points(problem.space.ndim)
+    for point in initial_design(problem, count):
+        for name in problem.constrained_hypotheses:
+            _evaluate(state, sim, point, name, 0)
+    _update_models(state, refit=True)
+    state.trajectory.append(hypervolume(state.approx_set))
+    _iterate(state, sim, budget.iterations, on_iteration)
     return state
 
 
@@ -342,10 +326,12 @@ def resume_run(
     budget: BudgetConfig,
     pso: PsoConfig | None = None,
     iterations: int = 0,
-    record_callback: RecordCallback | None = None,
+    on_iteration: Callable[[RunState], None] = lambda state: None,
 ) -> RunState:
     """Rebuild state from a checkpoint and continue for ``iterations`` more,
     ``sim`` serving every constrained hypothesis as in ``run``.
+    ``on_iteration`` is called as in ``run``: once the rebuilt models are in
+    place, and after each further iteration. Errors propagate as in ``run``.
 
     To revise a bound, pass a problem with the revised constraints: the GPs
     are rebuilt against it (stored hyperparameters, new targets) and the
@@ -361,11 +347,8 @@ def resume_run(
         iteration=data.iteration,
         trajectory=list(data.trajectory),
     )
-    try:
-        _update_models(state, refit=False)
-        _iterate(state, sim, iterations, record_callback)
-    except (GpConditioningError, SimulationError) as exc:
-        raise RunAborted(f"resume aborted: {exc}", state) from exc
+    _update_models(state, refit=False)
+    _iterate(state, sim, iterations, on_iteration)
     return state
 
 
@@ -376,7 +359,6 @@ def fixed_design_search(
     n_samples: int,
     confidence: float = 0.975,
     seed: int = 0,
-    record_callback: RecordCallback | None = None,
 ) -> tuple[ApproximationSet, list[EvaluationRecord]]:
     """One-shot comparator: evaluate each point of a Sobol design once and
     keep points whose one-sided upper confidence bound clears every
@@ -391,7 +373,7 @@ def fixed_design_search(
     state = RunState(problem=problem, budget=budget, pso=PsoConfig(), master_seed=seed)
     for point in initial_design(problem, count):
         for name in problem.constrained_hypotheses:
-            _evaluate(state, sim, point, name, 0, record_callback)
+            _evaluate(state, sim, point, name, 0)
 
     pool = pool_by_design(state.records)
     points = list(pool)
@@ -472,7 +454,7 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         doc = json.loads(Path(path).read_bytes())
     except FileNotFoundError as exc:
         raise CheckpointError(f"checkpoint not found: {path}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8, or an integer of over 4300 digits
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a trialopt checkpoint")

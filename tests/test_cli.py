@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from trialopt.cli import (
     normalize_config,
 )
 from trialopt.engine import BudgetConfig
+from trialopt.gp import GpConditioningError
 from trialopt.montecarlo import SimulationError
 from trialopt.simlib import get_scenario
 
@@ -111,6 +113,17 @@ def test_malformed_value_exits_2_before_writing(tmp_path, capsys, section, key, 
     assert f"config error: {section}" in capsys.readouterr().err
 
 
+def test_integer_beyond_the_digit_limit_exits_2_before_writing(tmp_path, capsys):
+    # json.dumps refuses to write it, so the config's text is built by hand
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(analytic_config(seed=0)).replace(
+        '"seed": 0', '"seed": 1' + "0" * 5000))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error: config is not valid JSON: Exceeds the limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("budget", "iterations", 2.7),
     ("budget", "n_per_eval", 30.9),
@@ -156,6 +169,10 @@ def test_fractional_count_exits_2_before_writing(tmp_path, capsys, section, key,
      "objective label must be a string, got 1"),
     (None, "objectives", {"labels": ["a", "b"], "coefficients": [[2.0], [math.nan]]},
      "coefficients must be finite, got nan"),
+    pytest.param(None, "reference_point", [10**400],
+                 f"reference_point must be finite, got {10**400}", id="reference_point-10**400"),
+    pytest.param("design_space", "up", 10**400, f"up must be finite, got {10**400}",
+                 id="design_space-up-10**400"),
 ])
 def test_config_that_cannot_run_exits_2_before_writing(tmp_path, capsys, section,
                                                        key, value, message):
@@ -629,6 +646,24 @@ def test_corrupt_checkpoint_exits_2_before_writing(tmp_path, capsys, command, ed
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["resume", "verify"])
+def test_config_edited_after_the_run_exits_2_and_changes_nothing(tmp_path, capsys,
+                                                                 command):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "1"]) == 0
+    edited = json.loads((out / "config.normalized").read_text())
+    edited["constraints"][0]["nominal"] = 0.5
+    (out / "config.normalized").write_text(canonical_dumps(edited) + "\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    argv = (["resume", str(out / "checkpoint.bin"), "--iterations", "1"]
+            if command == "resume" else ["verify", str(out), "--n-verify", "100"])
+    assert main(argv) == 2
+    assert "checkpoint was produced by a different config" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_resume_rejects_unknown_nominal_label(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -809,68 +844,178 @@ def test_lock_on_a_file_the_path_no_longer_names_is_refused(tmp_path, monkeypatc
     assert (tmp_path / ".lock").exists() == replaced
 
 
-@pytest.fixture
-def refusing_simulator(monkeypatch):
-    """Every Monte Carlo estimate fails, as one whose simulator raises does.
-    A config whose designs the simulator refuses outright is refused before
-    the run directory is written, so the abort is brought about here."""
-    def refuse(sim, point, hypothesis, n_samples, seed):
-        raise SimulationError("simulator refused the design", 0, seed)
+def refuse_simulation(monkeypatch, after=0):
+    """Every Monte Carlo estimate of the engine's past the first ``after``
+    fails, as one whose simulator raises does. A config whose designs the
+    simulator refuses outright is refused before the run directory is
+    written, so the abort is brought about here. The analytic config's
+    initial design is 6 evaluations, and each iteration one more."""
+    real, calls = engine.mc_estimate, []
 
-    monkeypatch.setattr(engine, "mc_estimate", refuse)
+    def estimate(sim, point, hypothesis, n_samples, seed):
+        calls.append(seed)
+        if len(calls) > after:
+            raise SimulationError("simulator refused the design", 0, seed)
+        return real(sim, point, hypothesis, n_samples, seed=seed)
+
+    monkeypatch.setattr(engine, "mc_estimate", estimate)
 
 
-def assert_aborted_with_checkpoint(out, err):
-    assert f"resumable checkpoint: {out / 'checkpoint.bin'}" in err
+def run_files(directory):
+    """The files of a run directory by name, report.txt without its wall-time
+    line. A file whose name starts with a dot is left out: .lock goes with
+    the lock, and a kill during a checkpoint write leaves the temporary file."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if not path.name.startswith("."):
+            lines = path.read_bytes().splitlines(keepends=True)
+            files[path.name] = b"".join(line for line in lines
+                                        if not line.startswith(b"elapsed seconds:"))
+    return files
+
+
+def assert_aborted_with_checkpoint(out, err, iteration):
+    assert f"resumable checkpoint (iteration {iteration}): {out / 'checkpoint.bin'}" in err
     cfg = json.loads((out / "config.normalized").read_text())
     checkpoint = json.loads((out / "checkpoint.bin").read_text())
     assert checkpoint["config_hash"] == config_hash(cfg)
+    assert checkpoint["iteration"] == iteration
+    # the log holds the checkpoint's records, not those of the aborted iteration
+    logged = [json.loads(line) for line in (out / "evals.log").read_text().splitlines()]
+    assert [(r["seed"], r["point"]) for r in logged] == [
+        (r["seed"], r["point"]) for r in checkpoint["records"]]
     assert not (out / ".lock").exists()
 
 
-def test_aborted_run_leaves_checkpoint_with_config_hash(tmp_path, capsys,
-                                                        refusing_simulator):
+def test_aborted_run_leaves_checkpoint_with_config_hash(tmp_path, capsys, monkeypatch):
+    refuse_simulation(monkeypatch, after=7)  # iteration 2 fails
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
-    assert_aborted_with_checkpoint(out, capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "error: aborted: simulator refused the design" in err
+    assert_aborted_with_checkpoint(out, err, 1)
 
 
-def test_aborted_resume_leaves_checkpoint_with_config_hash(tmp_path, capsys,
-                                                           refusing_simulator):
+def test_aborted_resume_leaves_checkpoint_with_config_hash(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 1
-    capsys.readouterr()
+    assert main(["run", str(cfg), "--out", str(out), "--iterations", "1"]) == 0
+    refuse_simulation(monkeypatch)
     moved = tmp_path / "moved"
-    assert main(["resume", str(out / "checkpoint.bin"), "--out", str(moved)]) == 1
-    assert_aborted_with_checkpoint(moved, capsys.readouterr().err)
+    assert main(["resume", str(out / "checkpoint.bin"), "--out", str(moved),
+                 "--iterations", "2"]) == 1
+    # the resume's first boundary, after the rebuild, wrote the moved checkpoint
+    assert_aborted_with_checkpoint(moved, capsys.readouterr().err, 1)
+    assert (moved / "evals.log").read_bytes() == (out / "evals.log").read_bytes()
 
 
-def test_verify_of_aborted_run_exits_1_and_changes_nothing(tmp_path, capsys,
-                                                           refusing_simulator):
+def test_initial_design_abort_writes_no_checkpoint(tmp_path, capsys, monkeypatch):
+    refuse_simulation(monkeypatch)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("no checkpoint was written\n")
+    assert sorted(p.name for p in out.iterdir()) == ["config.normalized"]
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for argv in (["verify", str(out), "--n-verify", "100"],
+                 ["resume", str(out / "checkpoint.bin"), "--iterations", "1"]):
+        assert main(argv) == 2
+        assert "checkpoint not found" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # nothing there is a run's: the run may start again in the same directory
+    monkeypatch.undo()
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+
+
+def test_verify_of_aborted_run_exits_1_and_changes_nothing(tmp_path, capsys, monkeypatch):
+    refuse_simulation(monkeypatch, after=7)
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise GpConditioningError("kernel matrix is singular")
+
+    monkeypatch.setattr(engine, "build_model", refuse)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(["verify", str(out), "--n-verify", "100"]) == 1
-    assert "error: resume aborted: no hyperparameters" in capsys.readouterr().err
+    assert "error: aborted: kernel matrix is singular" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_unwritable_abort_checkpoint_is_reported(tmp_path, capsys, monkeypatch,
-                                                refusing_simulator):
+def test_unwritable_boundary_checkpoint_is_reported(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise OSError("disk full")
 
     monkeypatch.setattr(engine, "save_checkpoint", refuse)
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1  # no traceback
+    assert capsys.readouterr().err == "error: could not write checkpoint: disk full\n"
+    assert not (out / "checkpoint.bin").exists()
+    assert not (out / ".lock").exists()
+
+
+def test_run_aborted_mid_iteration_resumes_to_the_uninterrupted_result(tmp_path, capsys,
+                                                                       monkeypatch):
+    cfg = write_config(tmp_path)  # 3 iterations
+    straight, out = tmp_path / "straight", tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(straight)]) == 0
+    real, calls = engine.build_model, []
+
+    def fail_in_iteration_2(*args, **kwargs):
+        calls.append(None)  # one model: built for the initial design, then once an iteration
+        if len(calls) == 3:
+            raise GpConditioningError("kernel matrix is singular")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_model", fail_in_iteration_2)
     assert main(["run", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "could not write checkpoint" in err and "disk full" in err
-    assert "resumable checkpoint" not in err
+    checkpoint = json.loads((out / "checkpoint.bin").read_text())
+    assert checkpoint["iteration"] == 1 and len(checkpoint["trajectory"]) == 2
+    monkeypatch.setattr(engine, "build_model", real)
+    assert main(["resume", str(out / "checkpoint.bin"), "--iterations", "2"]) == 0
+    assert run_files(out) == run_files(straight)
+
+
+def _checkpoint_iteration(path):
+    """The iteration of the checkpoint at ``path``, None while there is none;
+    a checkpoint is replaced whole, so one that exists loads."""
+    try:
+        return json.loads(path.read_bytes())["iteration"]
+    except FileNotFoundError:
+        return None
+
+
+def test_killed_run_resumes_to_the_uninterrupted_result(tmp_path):
+    budget = 20
+    cfg = write_config(tmp_path, budget={"initial_points": 6, "n_per_eval": 30,
+                                         "iterations": budget})
+    straight, out = tmp_path / "straight", tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(straight)]) == 0
+    src = str(Path(engine.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "trialopt.cli", "run", str(cfg),
+                           "--out", str(out)], stderr=subprocess.DEVNULL,
+                          env={**os.environ, "PYTHONPATH": src}) as child:
+        try:
+            seen, deadline = None, time.monotonic() + 60
+            while seen is None or seen < 1:
+                finished = child.poll() is not None
+                seen = _checkpoint_iteration(out / "checkpoint.bin")
+                if finished or time.monotonic() > deadline:
+                    break
+                time.sleep(0.002)
+        finally:
+            child.kill()
+    # a run that checkpoints only once it is done shows its whole budget first
+    assert seen is not None and (seen < budget or finished)
+    # the child may have gone on past ``seen`` before the kill landed
+    done = _checkpoint_iteration(out / "checkpoint.bin")
+    assert main(["resume", str(out / "checkpoint.bin"),
+                 "--iterations", str(budget - done)]) == 0
+    assert run_files(out) == run_files(straight)
     assert not (out / ".lock").exists()
 
 

@@ -310,6 +310,10 @@ def test_load_checkpoint_errors(tmp_path):
     old.write_text('{"format": "trialopt-checkpoint", "version": 99}')
     with pytest.raises(CheckpointError):
         load_checkpoint(old)
+    huge = tmp_path / "huge.bin"  # past Python's 4300-digit limit on int parsing
+    huge.write_text('{"format": "trialopt-checkpoint", "master_seed": 1' + "0" * 5000 + "}")
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        load_checkpoint(huge)
 
 
 @pytest.mark.parametrize("key", ["eval_counter", "total_samples"])

@@ -99,6 +99,9 @@ CASES = {
     "budget true / 'x' / 2.5": _set(("budget",), {"iterations": True, "n_per_eval": "x",
                                                   "initial_points": 2.5}),
     "pso 'a' / 'b'": _set(("pso",), {"swarm_size": "a", "inertia": "b"}),
+    # integers beyond the float range, once an OverflowError traceback
+    "reference_point [10**400, 95]": _set(("reference_point",), [10**400, 95.0]),
+    "up 10**400": _set(("design_space", 0, "up"), 10**400),
     # weights that are not finite, met only once the swarm flies: one iteration
     "pso.cognitive Infinity": _set(("pso",), {"cognitive": math.inf},
                                    ("budget", "iterations"), 1),
